@@ -5,7 +5,8 @@ A *trace* is a small JSON document fingerprinting one simulated schedule:
 the retained event log's per-kind counts, the headline metrics, one
 compact record per job, and the fault telemetry.  Traces for the seed
 scenario L1, the mid-size batch L5 and the dynamic-cluster scenario
-churn20 (× the prediction-free ``pairwise``/``oracle`` schemes) are
+churn20 (× the prediction-free ``pairwise``/``oracle`` schemes, plus
+``oracle_noresize``: the oracle under Quasar's no-resize admission) are
 committed under ``tests/golden/`` and diffed against fresh runs by
 ``test_golden_traces.py`` — so a refactor of the engine, the bus, or the
 fault subsystem gets bit-for-bit evidence instead of ad-hoc worktree
@@ -27,13 +28,30 @@ from pathlib import Path
 
 GOLDEN_DIR = Path(__file__).resolve().parent
 
+
+def _oracle_noresize(policy):
+    """Quasar's admission rule (take the full share or leave the node)
+    over exact footprints, so no trained classifier enters the trace."""
+    from repro.scheduling import MemoryAwareCoLocationScheduler, OracleEstimator
+
+    return MemoryAwareCoLocationScheduler(OracleEstimator(),
+                                          allocation_policy=policy,
+                                          resize_to_fit=False)
+
+
+#: Traced configurations that are not registered schemes: name ->
+#: builder taking the allocation policy.
+LOCAL_SCHEMES = {"oracle_noresize": _oracle_noresize}
+
 #: The committed cases: (scenario, scheme), all artefact-free schemes so
 #: neither the regen script nor the test ever trains a model.
+#: L8 is added for ``oracle_noresize`` because its queue is where the
+#: take-it-or-leave-it rule turns nodes away hundreds of times per run.
 CASES: tuple[tuple[str, str], ...] = tuple(
     (scenario, scheme)
     for scenario in ("L1", "L5", "churn20")
-    for scheme in ("pairwise", "oracle")
-)
+    for scheme in ("pairwise", "oracle", "oracle_noresize")
+) + (("L8", "oracle_noresize"),)
 
 #: Every committed trace pins the same draw: the CLI's default seed on
 #: the default (event-driven) engine.
@@ -63,7 +81,9 @@ def make_trace(scenario: str, scheme: str, seed: int = SEED,
     spec = load_scenario(scenario)
     cluster = spec.build_cluster()
     policy = DynamicAllocationPolicy(max_executors=len(cluster))
-    scheduler = build_scheduler(scheme, None, allocation_policy=policy)
+    local = LOCAL_SCHEMES.get(scheme)
+    scheduler = (local(policy) if local is not None
+                 else build_scheduler(scheme, None, allocation_policy=policy))
     simulator = ClusterSimulator(cluster, scheduler, seed=seed,
                                  step_mode=engine,
                                  max_time_min=spec.max_time_min,
