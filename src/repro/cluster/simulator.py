@@ -184,9 +184,10 @@ class NodeFeatures:
 
     A snapshot is valid only for the state :attr:`version` it was built
     at — any spawn, eviction, fault, or reservation change moves the
-    version.  Schedulers obtain snapshots through
-    :meth:`SchedulingContext.node_features`, which rebuilds lazily on
-    version changes, and rank candidates with :meth:`ranked`.
+    version — and never changes after it is returned.  Schedulers obtain
+    snapshots through :meth:`SchedulingContext.node_features`, which
+    builds a new one lazily on version changes, and rank candidates with
+    :meth:`ranked`.
     """
 
     __slots__ = ("version", "node_ids", "ram_gb", "free_gb", "reserved_cpu",
@@ -226,6 +227,53 @@ class NodeFeatures:
         else:
             self.n_apps = np.zeros(n, dtype=np.int64)
 
+    def with_spawns(self, spawned: list[tuple[int, int]]) -> "NodeFeatures":
+        """A new snapshot: this one plus the executors spawned since.
+
+        ``spawned`` lists ``(node slot, app index)`` per spawn, in spawn
+        order, and those spawns must be the state's only version moves
+        since this snapshot (:meth:`SchedulingContext.node_features`
+        checks).  Every node was clean when this chain of snapshots began
+        (a full build refreshes dirty nodes, and marking one dirty moves
+        the version), and a spawn onto a clean node updates its
+        reservation row in place, bit for bit what a full refresh
+        computes (``Node.add_executor``).  So only the touched rows are
+        re-read.  The newcomers are last in spawn order, so appending them
+        to the (node, app) index gives the index a full build would.
+        ``self`` is left unchanged.
+        """
+        rows = self._sim.cluster.state.nodes_view()
+        fresh = object.__new__(NodeFeatures)
+        fresh._sim = self._sim
+        fresh.version = self._sim.cluster.state.version
+        fresh.node_ids = self.node_ids
+        fresh.ram_gb = self.ram_gb
+        fresh.up = self.up
+        fresh.speed = self.speed
+        fresh.free_gb = self.free_gb.copy()
+        fresh.reserved_cpu = self.reserved_cpu.copy()
+        fresh.n_active = self.n_active.copy()
+        fresh.n_apps = self.n_apps.copy()
+        new = np.asarray(spawned, dtype=np.int64)
+        nodes, apps = new[:, 0], new[:, 1]
+        ram, reserved = rows["ram_gb"], rows["reserved_mem_gb"]
+        reserved_cpu, n_active = rows["reserved_cpu"], rows["n_active"]
+        for slot in set(nodes.tolist()):
+            fresh.free_gb[slot] = max(ram[slot] - reserved[slot], 0.0)
+            fresh.reserved_cpu[slot] = reserved_cpu[slot]
+            fresh.n_active[slot] = n_active[slot]
+        # A spawn adds a co-located app unless the node already ran that
+        # app, or an earlier spawn of this batch brought it.
+        known = ((self._node_of[:, None] == nodes)
+                 & (self._app_of[:, None] == apps)).any(axis=0)
+        for node, _ in dict.fromkeys(
+                pair for pair, seen in zip(spawned, known.tolist())
+                if not seen):
+            fresh.n_apps[node] += 1
+        fresh._node_of = np.concatenate((self._node_of, nodes))
+        fresh._app_of = np.concatenate((self._app_of, apps))
+        return fresh
+
     def hosts_app(self, app: SparkApplication) -> np.ndarray:
         """Boolean column: nodes where ``app`` has an active executor."""
         mask = np.zeros(self.up.shape[0], dtype=bool)
@@ -260,6 +308,13 @@ class SchedulingContext:
         self._sim = simulator
         self.now: float = 0.0
         self._features: NodeFeatures | None = None
+        # Spawns made through this context since ``_features`` was built,
+        # as (node slot, app index), and the state version the last of
+        # them left behind.  While that version is current, the spawns
+        # were the only mutations and the snapshot can be refreshed from
+        # them alone (NodeFeatures.with_spawns).
+        self._spawned: list[tuple[int, int]] = []
+        self._spawned_version = -1
 
     # -- observation ---------------------------------------------------
     @property
@@ -326,26 +381,60 @@ class SchedulingContext:
         on its scalar scan — the parity oracle for the vectorized path.
         On the vector kernel the snapshot is cached against the cluster
         state's mutation version: repeated calls within one placement
-        pass are free, and the first call after any spawn / fault /
-        reservation change rebuilds the columns.
+        pass are free.  The first call after a version move returns a
+        new snapshot and never mutates one already handed out.  When the
+        only moves were spawns through this context, the new snapshot
+        patches just the nodes they touched (:meth:`NodeFeatures.with_spawns`);
+        any other change (finish, fault, eviction, speed) rebuilds every
+        column.
         """
         sim = self._sim
         if sim.kernel != "vector":
             return None
         cached = self._features
-        if (cached is not None
-                and cached.version == sim.cluster.state.version):
+        version = sim.cluster.state.version
+        if cached is not None and cached.version == version:
             return cached
-        self._features = NodeFeatures(sim)
+        if cached is not None and self._spawned_version == version:
+            self._features = cached.with_spawns(self._spawned)
+        else:
+            self._features = NodeFeatures(sim)
+        self._spawned = []
+        self._spawned_version = self._features.version
         return self._features
 
-    def running_apps(self) -> list[SparkApplication]:
-        """Applications that currently have at least one active executor."""
-        return [app for app in self._sim.submission_order if app.active_executors]
+    def app_tallies(self, apps: list[SparkApplication]
+                    ) -> tuple[list[float], list[int]]:
+        """In-flight GB and active-executor counts of ``apps``.
 
-    def node_free_memory_gb(self, node_id: int) -> float:
-        """Unreserved memory on a node (scheduler's own bookkeeping)."""
-        return self._sim.cluster.node(node_id).free_reserved_memory_gb
+        Computed from the executor columns, keyed by submission index,
+        and returned aligned with ``apps``.  In-flight data sums
+        ``max(assigned - processed, 0)`` over the alive slots (an executor
+        leaves the cluster as soon as it stops RUNNING, the filter
+        ``SparkApplication.remaining_gb`` applies); the count takes the
+        active slots, the filter of ``active_executors``.
+        ``np.bincount`` adds each bin's weights in input order, and slot
+        order is spawn order, so every sum is bit for bit the Python
+        ``sum`` over the application's executor list.
+
+        Not cached: the engines advance ``processed_gb`` in place without
+        moving the state version, so a tally is valid only until time
+        advances.
+        """
+        sim = self._sim
+        execs = sim.cluster.state.execs_view()
+        app_of = execs["app_index"]
+        n = len(sim.submission_order)
+        alive = execs["alive"] & (app_of >= 0)
+        in_flight = np.bincount(
+            app_of[alive],
+            weights=np.maximum(execs["assigned_gb"][alive]
+                               - execs["processed_gb"][alive], 0.0),
+            minlength=n)
+        active = np.bincount(app_of[execs["active"] & (app_of >= 0)],
+                             minlength=n)
+        rows = [sim.submission_index[app.name] for app in apps]
+        return in_flight[rows].tolist(), active[rows].tolist()
 
     def node_cpu_headroom(self, node_id: int) -> float:
         """CPU headroom on a node before aggregate load reaches 100 %.
@@ -374,6 +463,8 @@ class SchedulingContext:
         spec = self.spec_of(app)
         if enforce_admission and not node.can_host(memory_budget_gb, spec.cpu_load):
             return None
+        state = self._sim.cluster.state
+        before = state.version
         granted = app.take_unassigned(data_gb)
         if granted <= 1e-9:
             return None
@@ -382,12 +473,15 @@ class SchedulingContext:
                                    cpu_load=spec.cpu_load)
         if enforce_admission:
             self._sim.resource_manager.grant(request)
+        app_index = self._sim.submission_index.get(app.name, -1)
         executor = Executor(app_name=app.name, node_id=node_id,
                             memory_budget_gb=memory_budget_gb,
                             assigned_gb=granted, cpu_demand=spec.cpu_load,
-                            app_index=self._sim.submission_index.get(
-                                app.name, -1))
+                            app_index=app_index)
         node.add_executor(executor)
+        if self._spawned_version == before:
+            self._spawned.append((node._slot, app_index))
+            self._spawned_version = state.version
         app.add_executor(executor)
         if app.start_time is None:
             self._sim.events.record(self.now, EventKind.APP_STARTED,

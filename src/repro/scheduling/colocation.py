@@ -87,31 +87,50 @@ class MemoryAwareCoLocationScheduler(Scheduler):
 
     def schedule(self, ctx: SchedulingContext) -> None:
         features = ctx.node_features()
-        if features is not None and not (
-                features.up & (features.free_gb >= self.min_free_gb)).any():
+        if features is None:
+            waiting = ctx.waiting_apps()
+            self._round_robin(waiting, lambda k: self._schedule_app(
+                ctx, waiting[k], max_new_executors=1))
+            return
+        if not (features.up & (features.free_gb >= self.min_free_gb)).any():
             # No live node clears the minimum-free bar, so no placement
             # pass below could spawn anything (each scan would break at
             # its first node); the scalar walk is side-effect-free in
             # that case, so skip the waiting queue entirely.
             return
         waiting = ctx.waiting_apps()
-        if features is not None and waiting:
-            self._prefetch_footprints(waiting)
-        # The paper's dispatcher starts waiting applications as soon as
-        # possible instead of letting already-running jobs absorb every
-        # freed resource: applications that have not received any executor
-        # yet get first pick of one executor each, and further growth is
-        # granted round-robin — one executor per application per round,
-        # looping until nothing more fits this step — so the dispatcher is
-        # work-conserving without letting the oldest job starve the rest.
-        for app in waiting:
+        if not waiting:
+            return
+        # Per-epoch tallies: each waiting app's in-flight GB and active
+        # executors, from the executor columns once per call.  Only this
+        # pass's own spawns change them until the engine advances time,
+        # and a newcomer is last in spawn order, so adding its share to
+        # the running sum is exactly the recomputed sum.
+        in_flight, active = ctx.app_tallies(waiting)
+        self._prefetch_footprints(waiting, in_flight, active)
+        self._round_robin(waiting, lambda k: self._place_tallied(
+            ctx, waiting, k, in_flight, active))
+
+    @staticmethod
+    def _round_robin(waiting: list[SparkApplication], place) -> None:
+        """Offer ``place(k)`` one executor per waiting app per round.
+
+        The paper's dispatcher starts waiting applications as soon as
+        possible instead of letting already-running jobs absorb every
+        freed resource: applications that have not received any executor
+        yet get first pick of one executor each, and further growth is
+        granted round-robin — one executor per application per round,
+        looping until nothing more fits this step — so the dispatcher is
+        work-conserving without letting the oldest job starve the rest.
+        """
+        for k, app in enumerate(waiting):
             if not app.executors:
-                self._schedule_app(ctx, app, max_new_executors=1)
+                place(k)
         progressed = True
         while progressed:
             progressed = False
-            for app in waiting:
-                if self._schedule_app(ctx, app, max_new_executors=1):
+            for k in range(len(waiting)):
+                if place(k):
                     progressed = True
 
     def on_cluster_change(self, ctx: SchedulingContext, event) -> None:
@@ -126,7 +145,9 @@ class MemoryAwareCoLocationScheduler(Scheduler):
     # ------------------------------------------------------------------
     # Placement
     # ------------------------------------------------------------------
-    def _prefetch_footprints(self, waiting: list[SparkApplication]) -> None:
+    def _prefetch_footprints(self, waiting: list[SparkApplication],
+                             in_flight: list[float],
+                             active: list[int]) -> None:
         """One batched footprint inference per epoch over the waiting queue.
 
         Fills the ``(app, share)`` memo for every waiting application's
@@ -136,21 +157,21 @@ class MemoryAwareCoLocationScheduler(Scheduler):
         estimator application by application (and the estimator can
         amortize its feature pipeline across the whole batch).  Memo
         values are exactly what the lazy per-call fills in
-        ``_size_executor`` would store — ``footprint_batch`` is
+        ``_predicted_footprint`` would store — ``footprint_batch`` is
         bit-identical to per-row ``footprint_gb`` by contract — so the
         prefetch only moves work, never changes a placement.
+        ``in_flight``/``active`` are the tallies aligned with ``waiting``.
         """
         names: list[str] = []
         shares: list[float] = []
         keys: list[tuple[str, float]] = []
-        for app in waiting:
+        for app, app_in_flight, app_active in zip(waiting, in_flight, active):
             desired = self.allocation_policy.desired_executors(
-                max(app.remaining_gb, 1e-3)
+                max(app.unassigned_gb + app_in_flight, 1e-3)
             )
-            active = len(app.active_executors)
-            if active >= desired or app.unassigned_gb <= 1e-6:
+            if app_active >= desired or app.unassigned_gb <= 1e-6:
                 continue
-            share = app.unassigned_gb / max(desired - active, 1)
+            share = app.unassigned_gb / max(desired - app_active, 1)
             key = (app.name, share)
             if key in self._predicted_gb:
                 continue
@@ -164,6 +185,37 @@ class MemoryAwareCoLocationScheduler(Scheduler):
         for key, value in zip(keys, predicted):
             self._predicted_gb[key] = float(value) * self.safety_margin
 
+    def _place_tallied(self, ctx: SchedulingContext,
+                       waiting: list[SparkApplication], k: int,
+                       in_flight: list[float], active: list[int]) -> int:
+        """Offer ``waiting[k]`` one executor; keep its tallies exact.
+
+        The vector-kernel form of ``_schedule_app(..., max_new_executors=1)``:
+        the same target and the same scan, with the in-flight data and
+        active count read from the tallies instead of the executor list.
+        """
+        app = waiting[k]
+        # The executor target follows the *remaining* data (in-flight plus
+        # unassigned), as in the scalar scan below.
+        desired = self.allocation_policy.desired_executors(
+            max(app.unassigned_gb + in_flight[k], 1e-3))
+        if active[k] >= desired:
+            return 0
+        features = ctx.node_features()
+        scores = self.score_batch(ctx, app, features)
+        if scores is None:
+            spawned = self._schedule_app(ctx, app, max_new_executors=1)
+            if spawned:
+                (in_flight[k],), (active[k],) = ctx.app_tallies([app])
+            return spawned
+        executor = self._place_one_vector(ctx, app, features, scores,
+                                          desired, active[k])
+        if executor is None:
+            return 0
+        in_flight[k] += executor.assigned_gb
+        active[k] += 1
+        return 1
+
     def _schedule_app(self, ctx: SchedulingContext, app: SparkApplication,
                       max_new_executors: int | None = None) -> int:
         # The executor target follows the *remaining* data (in-flight plus
@@ -176,12 +228,6 @@ class MemoryAwareCoLocationScheduler(Scheduler):
         active = len(app.active_executors)
         if active >= desired:
             return 0
-        features = ctx.node_features()
-        if features is not None and max_new_executors == 1:
-            scores = self.score_batch(ctx, app, features)
-            if scores is not None:
-                return self._place_one_vector(ctx, app, features, scores,
-                                              desired, active)
         cpu_load = self.estimator.cpu_load(app.name)
         spawned = 0
         for node in ctx.cluster.nodes_by_free_memory():
@@ -209,18 +255,37 @@ class MemoryAwareCoLocationScheduler(Scheduler):
 
     def _place_one_vector(self, ctx: SchedulingContext,
                           app: SparkApplication, features: NodeFeatures,
-                          scores: np.ndarray, desired: int,
-                          active: int) -> int:
+                          scores: np.ndarray, desired: int, active: int):
         """Column-scored form of the single-spawn scan above.
 
         Valid only for ``max_new_executors == 1``: until the one spawn
         happens nothing mutates, so the share and the feature snapshot
         stay constant through the scan — exactly like the scalar loop,
-        which breaks right after its first successful spawn.
+        which breaks right after its first successful spawn.  Returns the
+        spawned executor, or ``None``.
         """
         if app.unassigned_gb <= 1e-6:
-            return 0
-        for slot in features.ranked(scores).tolist():
+            return None
+        slots = features.ranked(scores)
+        if not slots.size:
+            return None
+        share = app.unassigned_gb / max(desired - active, 1)
+        if not self.resize_to_fit and share > 1e-9:
+            # Column admission: without resizing, a node takes the full
+            # share or nothing, so only nodes whose free memory covers
+            # the predicted need can spawn.  A share above 1e-9 is granted
+            # whole, so a refused spawn leaves the app untouched and the
+            # share stays constant over the scan.
+            predicted = self._predicted_footprint(app.name, share)
+            if share < min(self.min_data_gb, app.unassigned_gb - 1e-9):
+                return None
+            for slot in slots[features.free_gb[slots] >= predicted].tolist():
+                executor = ctx.spawn_executor(
+                    app, int(features.node_ids[slot]), predicted, share)
+                if executor is not None:
+                    return executor
+            return None
+        for slot in slots.tolist():
             free_gb = float(features.free_gb[slot])
             share = app.unassigned_gb / max(desired - active, 1)
             budget, data = self._size_executor(app.name, share, free_gb)
@@ -231,8 +296,8 @@ class MemoryAwareCoLocationScheduler(Scheduler):
             executor = ctx.spawn_executor(app, int(features.node_ids[slot]),
                                           budget, data)
             if executor is not None:
-                return 1
-        return 0
+                return executor
+        return None
 
     def score_batch(self, ctx: SchedulingContext, app: SparkApplication,
                     features: NodeFeatures) -> np.ndarray:
@@ -259,12 +324,7 @@ class MemoryAwareCoLocationScheduler(Scheduler):
         function is inverted to find the largest chunk that fits what is
         available.
         """
-        key = (app_name, share_gb)
-        predicted = self._predicted_gb.get(key)
-        if predicted is None:
-            predicted = (self.estimator.footprint_gb(app_name, share_gb)
-                         * self.safety_margin)
-            self._predicted_gb[key] = predicted
+        predicted = self._predicted_footprint(app_name, share_gb)
         if predicted <= free_gb:
             return predicted, share_gb
         if not self.resize_to_fit:
@@ -276,3 +336,14 @@ class MemoryAwareCoLocationScheduler(Scheduler):
             app_name, budget / self.safety_margin, max_gb=share_gb
         )
         return budget, min(data, share_gb)
+
+    def _predicted_footprint(self, app_name: str, share_gb: float) -> float:
+        """The memoised reservation for one executor: predicted need
+        for ``share_gb`` times the safety margin."""
+        key = (app_name, share_gb)
+        predicted = self._predicted_gb.get(key)
+        if predicted is None:
+            predicted = (self.estimator.footprint_gb(app_name, share_gb)
+                         * self.safety_margin)
+            self._predicted_gb[key] = predicted
+        return predicted
