@@ -22,6 +22,8 @@ trip through a small JSON document::
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -79,12 +81,22 @@ class ScenarioSpec:
             raise ValueError("a scenario needs a name")
         if (self.n_apps is None) == (self.jobs is None):
             raise ValueError("specify exactly one of n_apps or jobs")
-        if self.n_apps is not None and self.n_apps < 1:
-            raise ValueError("n_apps must be at least 1")
+        if self.n_apps is not None and (
+                isinstance(self.n_apps, bool)
+                or not isinstance(self.n_apps, numbers.Integral)
+                or self.n_apps < 1):
+            raise ValueError(f"n_apps must be an integer of at least 1, "
+                             f"got {self.n_apps!r}")
         if self.jobs is not None and not self.jobs:
             raise ValueError("an explicit job list cannot be empty")
-        if self.max_time_min <= 0:
-            raise ValueError("max_time_min must be positive")
+        for i, entry in enumerate(self.jobs or ()):
+            if not _is_pair(entry) or not _positive_finite(entry[1]):
+                raise ValueError(f"jobs[{i}] must be a (benchmark, input_gb) "
+                                 f"pair with a positive finite input_gb, "
+                                 f"got {entry!r}")
+        if not _positive_finite(self.max_time_min):
+            raise ValueError(f"max_time_min must be a positive finite number, "
+                             f"got {self.max_time_min!r}")
         # Fail fast on unknown topologies and bad explicit jobs.
         topology_specs(self.topology)
         if self.jobs is not None:
@@ -154,8 +166,12 @@ class ScenarioSpec:
             raise ValueError(f"unknown scenario fields: {sorted(unknown)}")
         kwargs = dict(payload)
         if "jobs" in kwargs and kwargs["jobs"] is not None:
-            kwargs["jobs"] = tuple((str(name), float(gb))
-                                   for name, gb in kwargs["jobs"])
+            # Sizes are normalised to float; anything else stays as given
+            # so __post_init__ rejects it naming the field.
+            kwargs["jobs"] = tuple(
+                (str(entry[0]), float(entry[1]))
+                if _is_pair(entry) and _positive_finite(entry[1]) else entry
+                for entry in kwargs["jobs"])
         if "arrival" in kwargs:
             kwargs["arrival"] = ArrivalSpec.from_dict(kwargs["arrival"])
         if kwargs.get("faults") is not None:
@@ -170,3 +186,13 @@ class ScenarioSpec:
     def from_json(cls, path: str | Path) -> "ScenarioSpec":
         """Load a spec from a JSON document."""
         return cls.from_dict(json.loads(Path(path).read_text()))
+
+
+def _positive_finite(value) -> bool:
+    """A real, non-boolean number above zero and below infinity."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value) and value > 0)
+
+
+def _is_pair(entry) -> bool:
+    return isinstance(entry, (list, tuple)) and len(entry) == 2

@@ -163,3 +163,38 @@ class TestTrainedSchemesStillWork:
                                          n_mixes=1, suite=suite)
         assert suite.is_trained()
         assert row.stp_geomean > 0
+
+
+class TestBoundaryValidation:
+    """Bad sizes, horizons and counts fail at construction, naming the field."""
+
+    BAD = [
+        ("jobs", {"jobs": [["HB.Sort", float("nan")]]}),
+        ("jobs", {"jobs": [["HB.Sort", float("inf")]]}),
+        ("jobs", {"jobs": [["HB.Sort", True]]}),
+        ("jobs", {"jobs": [["HB.Sort"]]}),
+        ("max_time_min", {"n_apps": 2, "max_time_min": float("nan")}),
+        ("max_time_min", {"n_apps": 2, "max_time_min": float("inf")}),
+        ("max_time_min", {"n_apps": 2, "max_time_min": True}),
+        ("n_apps", {"n_apps": True}),
+        ("n_apps", {"n_apps": 2.5}),
+    ]
+
+    @pytest.mark.parametrize("field,fields", BAD,
+                             ids=[f"{f}-{i}" for i, (f, _) in enumerate(BAD)])
+    def test_constructor_rejects(self, field, fields):
+        with pytest.raises(ValueError, match=field):
+            ScenarioSpec(name="x", **fields)
+
+    @pytest.mark.parametrize("field,fields", BAD,
+                             ids=[f"{f}-{i}" for i, (f, _) in enumerate(BAD)])
+    def test_from_dict_rejects(self, field, fields):
+        with pytest.raises(ValueError, match=field):
+            ScenarioSpec.from_dict({"name": "x", **fields})
+
+    def test_valid_sizes_still_normalise_to_float(self):
+        spec = ScenarioSpec.from_dict({"name": "x", "jobs": [["HB.Sort", 10]],
+                                       "max_time_min": 90})
+        assert spec.jobs == (("HB.Sort", 10.0),)
+        assert isinstance(spec.jobs[0][1], float)
+        assert spec.max_time_min == 90
