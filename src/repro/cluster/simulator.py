@@ -262,14 +262,10 @@ class NodeFeatures:
             fresh.free_gb[slot] = max(ram[slot] - reserved[slot], 0.0)
             fresh.reserved_cpu[slot] = reserved_cpu[slot]
             fresh.n_active[slot] = n_active[slot]
-        # A spawn adds a co-located app unless the node already ran that
-        # app, or an earlier spawn of this batch brought it.
-        known = ((self._node_of[:, None] == nodes)
-                 & (self._app_of[:, None] == apps)).any(axis=0)
-        for node, _ in dict.fromkeys(
-                pair for pair, seen in zip(spawned, known.tolist())
-                if not seen):
-            fresh.n_apps[node] += 1
+        # Each new (node, app) pair adds one co-located app to its node.
+        for node, app in dict.fromkeys(spawned):
+            if app not in self._app_of[self._node_of == node].tolist():
+                fresh.n_apps[node] += 1
         fresh._node_of = np.concatenate((self._node_of, nodes))
         fresh._app_of = np.concatenate((self._app_of, apps))
         return fresh

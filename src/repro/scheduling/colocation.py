@@ -267,24 +267,16 @@ class MemoryAwareCoLocationScheduler(Scheduler):
         if app.unassigned_gb <= 1e-6:
             return None
         slots = features.ranked(scores)
-        if not slots.size:
-            return None
         share = app.unassigned_gb / max(desired - active, 1)
-        if not self.resize_to_fit and share > 1e-9:
+        if not self.resize_to_fit and slots.size and share > 1e-9:
             # Column admission: without resizing, a node takes the full
-            # share or nothing, so only nodes whose free memory covers
-            # the predicted need can spawn.  A share above 1e-9 is granted
-            # whole, so a refused spawn leaves the app untouched and the
-            # share stays constant over the scan.
+            # share or nothing, and ``_size_executor`` gives any node
+            # short of the predicted need a zero share, which the scan
+            # below skips.  So keep only the nodes that cover it.  A share
+            # above 1e-9 is granted whole, so a refused spawn leaves the
+            # app untouched and the share constant over the scan.
             predicted = self._predicted_footprint(app.name, share)
-            if share < min(self.min_data_gb, app.unassigned_gb - 1e-9):
-                return None
-            for slot in slots[features.free_gb[slots] >= predicted].tolist():
-                executor = ctx.spawn_executor(
-                    app, int(features.node_ids[slot]), predicted, share)
-                if executor is not None:
-                    return executor
-            return None
+            slots = slots[features.free_gb[slots] >= predicted]
         for slot in slots.tolist():
             free_gb = float(features.free_gb[slot])
             share = app.unassigned_gb / max(desired - active, 1)
