@@ -83,6 +83,19 @@ __all__ = ["STEP_MODES", "FixedStepEngine", "EventDrivenEngine", "make_engine"]
 STEP_MODES: tuple[str, ...] = ("fixed", "event")
 
 
+def _in_order_sum(values) -> float:
+    """Add ``values`` left to right, the order ``np.bincount`` adds a bin.
+
+    The per-object paths total each node this way so the vector kernel
+    matches them bit for bit; ``sum()`` compensates float rounding from
+    Python 3.12 and would not.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 @dataclass
 class _VectorSnapshot:
     """Per-node dynamics of one epoch, computed from the state arrays.
@@ -327,7 +340,7 @@ class _EngineBase:
         """
         sim = self.sim
         active = node.active_executors()
-        total_memory = sum(footprint_of(e) for e in active)
+        total_memory = _in_order_sum(footprint_of(e) for e in active)
         while total_memory > node.ram_gb + node.swap_gb and len(active) > 1:
             victim = max(active, key=lambda e: e.executor_id)
             lost = victim.fail_out_of_memory()
@@ -340,7 +353,7 @@ class _EngineBase:
                 time=now, app=victim.app_name, node_id=node.node_id,
                 lost_gb=lost, detail=f"returned={lost:.1f}GB"))
             active = node.active_executors()
-            total_memory = sum(footprint_of(e) for e in active)
+            total_memory = _in_order_sum(footprint_of(e) for e in active)
         return active, total_memory
 
     def _forget_executor(self, executor: Executor) -> None:
@@ -355,7 +368,7 @@ class _EngineBase:
         Per-node sums use ``np.bincount``, whose per-bin accumulation is
         sequential in input order — slot order, which equals each node's
         executor insertion order — so the sums are bit-for-bit what the
-        per-object path's Python ``sum`` computes.
+        per-object path's :func:`_in_order_sum` computes.
         """
         sim = self.sim
         state = sim.cluster.state
@@ -515,7 +528,7 @@ class FixedStepEngine(_EngineBase):
                 node, now,
                 lambda e: sim.specs[e.app_name].true_footprint_gb(e.cached_gb()))
 
-            total_cpu = sum(e.cpu_demand for e in active)
+            total_cpu = _in_order_sum(e.cpu_demand for e in active)
             cpu_factor = 1.0 if total_cpu <= 1.0 else 1.0 / total_cpu
             paging = total_memory > node.ram_gb
             if paging:
@@ -873,7 +886,7 @@ class EventDrivenEngine(_EngineBase):
                                            total_memory_gb=0.0, total_cpu=0.0,
                                            utilization=0.0))
                 continue
-            total_memory = sum(self._footprint(e) for e in active)
+            total_memory = _in_order_sum(self._footprint(e) for e in active)
             total_cpu = node.reserved_cpu_load
             cpu_factor = 1.0 if total_cpu <= 1.0 else 1.0 / total_cpu
             paging = total_memory > node.ram_gb

@@ -158,7 +158,7 @@ class Node:
         if not self._dirty and executor.is_active:
             # Appending an active executor to a clean node updates the
             # cached aggregates incrementally.  This is bit-for-bit equal
-            # to the full recompute: python's sum() accumulates left to
+            # to the full recompute: ``_refresh`` accumulates left to
             # right and the newcomer sits at the end of the active list,
             # so old_sum + budget IS the recomputed sum.  (Removals
             # cannot be done this way — subtraction is not the exact
@@ -196,8 +196,14 @@ class Node:
             return
         self._active = [e for e in self.executors if e.is_active]
         self._apps = {e.app_name for e in self._active}
-        self._reserved_memory = sum(e.memory_budget_gb for e in self._active)
-        self._reserved_cpu = sum(e.cpu_demand for e in self._active)
+        # Left to right, like the incremental update in ``add_executor``
+        # (``sum()`` compensates float rounding from Python 3.12).
+        reserved_memory = reserved_cpu = 0.0
+        for e in self._active:
+            reserved_memory += e.memory_budget_gb
+            reserved_cpu += e.cpu_demand
+        self._reserved_memory = reserved_memory
+        self._reserved_cpu = reserved_cpu
         self._dirty = False
         if self._state is not None:
             row = self._state._node[self._slot]

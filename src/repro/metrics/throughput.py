@@ -107,9 +107,12 @@ def system_throughput(result: SimulationResult, jobs: list[Job],
     to 1, and the values reported for the co-location schemes are directly
     the "normalized STP" of the paper's Figure 6a.
     """
-    triples = matched_apps(result, jobs, policy)
-    return float(sum(reference / app.turnaround_min()
-                     for _, app, reference in triples))
+    # Added left to right (``sum()`` compensates float rounding from
+    # Python 3.12), so STP is the same number on every supported Python.
+    stp = 0.0
+    for _, app, reference in matched_apps(result, jobs, policy):
+        stp += reference / app.turnaround_min()
+    return float(stp)
 
 
 def antt(result: SimulationResult, jobs: list[Job],
@@ -237,9 +240,12 @@ class StreamingScheduleMetrics:
 
     def stp(self) -> float:
         """System throughput (Eq. 1) from the streamed finish times."""
-        return float(sum(reference / turnaround
-                         for reference, turnaround
-                         in zip(self._references, self._turnarounds())))
+        # Left to right, exactly as :func:`system_throughput` adds.
+        stp = 0.0
+        for reference, turnaround in zip(self._references,
+                                         self._turnarounds()):
+            stp += reference / turnaround
+        return float(stp)
 
     def antt(self) -> float:
         """ANTT (Eq. 2) from the streamed finish times."""

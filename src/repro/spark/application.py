@@ -92,10 +92,13 @@ class SparkApplication:
     @property
     def remaining_gb(self) -> float:
         """Data not yet processed: unassigned plus in-flight remainders."""
-        in_flight = sum(
-            e.remaining_gb for e in self.executors
-            if e.state is ExecutorState.RUNNING
-        )
+        # Added left to right on purpose: the vector kernel's column
+        # tallies (``np.bincount`` in spawn order) must match this bit for
+        # bit, and ``sum()`` compensates float rounding from Python 3.12.
+        in_flight = 0.0
+        for e in self.executors:
+            if e.state is ExecutorState.RUNNING:
+                in_flight += e.remaining_gb
         return self.unassigned_gb + in_flight
 
     @property

@@ -49,8 +49,12 @@ def assert_columns_equal(got: dict, want: dict, where: str) -> None:
 
 
 def walked(app) -> tuple[float, int]:
-    in_flight = sum(e.remaining_gb for e in app.executors
-                    if e.state is ExecutorState.RUNNING)
+    """In-flight GB and active count from the executor list, added left to
+    right as ``SparkApplication.remaining_gb`` adds."""
+    in_flight = 0.0
+    for e in app.executors:
+        if e.state is ExecutorState.RUNNING:
+            in_flight += e.remaining_gb
     return in_flight, len(app.active_executors)
 
 

@@ -35,10 +35,14 @@ def check_round_trip(cluster: Cluster) -> None:
         assert float(row["speed"]) == node.speed_factor
         active = [e for e in node.executors if e.is_active]
         assert int(row["n_active"]) == len(active)
-        # The cached aggregates are the exact left-to-right Python sums.
-        assert float(row["reserved_mem_gb"]) == sum(
-            e.memory_budget_gb for e in active)
-        assert float(row["reserved_cpu"]) == sum(e.cpu_demand for e in active)
+        # The cached aggregates are the exact left-to-right sums (not
+        # ``sum()``, which compensates float rounding from Python 3.12).
+        reserved_memory = reserved_cpu = 0.0
+        for e in active:
+            reserved_memory += e.memory_budget_gb
+            reserved_cpu += e.cpu_demand
+        assert float(row["reserved_mem_gb"]) == reserved_memory
+        assert float(row["reserved_cpu"]) == reserved_cpu
         assert node.reserved_memory_gb == float(row["reserved_mem_gb"])
     ex = state.execs_view()
     live_ids = []

@@ -37,9 +37,13 @@ def artefacts():
 
 
 def walked_in_flight(app) -> float:
-    """The in-flight part of ``app.remaining_gb``, summed as it sums it."""
-    return sum(e.remaining_gb for e in app.executors
-               if e.state is ExecutorState.RUNNING)
+    """The in-flight part of ``app.remaining_gb``, added left to right as
+    it adds."""
+    in_flight = 0.0
+    for e in app.executors:
+        if e.state is ExecutorState.RUNNING:
+            in_flight += e.remaining_gb
+    return in_flight
 
 
 def assert_exact(app, in_flight, active, where):
