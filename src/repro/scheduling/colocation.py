@@ -202,14 +202,9 @@ class MemoryAwareCoLocationScheduler(Scheduler):
         if active[k] >= desired:
             return 0
         features = ctx.node_features()
-        scores = self.score_batch(ctx, app, features)
-        if scores is None:
-            spawned = self._schedule_app(ctx, app, max_new_executors=1)
-            if spawned:
-                (in_flight[k],), (active[k],) = ctx.app_tallies([app])
-            return spawned
-        executor = self._place_one_vector(ctx, app, features, scores,
-                                          desired, active[k])
+        executor = self._place_one_vector(
+            ctx, app, features, self.score_batch(ctx, app, features),
+            desired, active[k])
         if executor is None:
             return 0
         in_flight[k] += executor.assigned_gb
