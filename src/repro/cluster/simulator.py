@@ -52,7 +52,6 @@ from repro.cluster.resource_monitor import (
     StreamingUtilization,
     UtilizationTraceRecorder,
 )
-from repro.cluster.yarn import ContainerRequest, ResourceManager
 from repro.spark.application import ApplicationState, SparkApplication
 from repro.spark.executor import Executor
 from repro.workloads.benchmark import BenchmarkSpec
@@ -464,11 +463,6 @@ class SchedulingContext:
         granted = app.take_unassigned(data_gb)
         if granted <= 1e-9:
             return None
-        request = ContainerRequest(app_name=app.name, node_id=node_id,
-                                   memory_gb=memory_budget_gb,
-                                   cpu_load=spec.cpu_load)
-        if enforce_admission:
-            self._sim.resource_manager.grant(request)
         app_index = self._sim.submission_index.get(app.name, -1)
         executor = Executor(app_name=app.name, node_id=node_id,
                             memory_budget_gb=memory_budget_gb,
@@ -525,7 +519,6 @@ class ClusterSimulator:
         self.scheduler = scheduler
         self.time_step_min = time_step_min
         self.interference = interference or InterferenceModel()
-        self.resource_manager = ResourceManager(cluster=cluster)
         self.max_time_min = max_time_min
         self.record_utilization = record_utilization
         self.faults = faults

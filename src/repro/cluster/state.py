@@ -101,7 +101,6 @@ class ClusterState:
         #: Parallel list of node ids (slot order), for sample batches.
         self.node_ids: list[int] = []
         self._exec = np.zeros(64, EXEC_DTYPE)
-        _nan_memo(self._exec, 0)
         self.n_execs = 0
         #: Parallel list: ``exec_objs[slot]`` is the Executor viewing
         #: ``slot`` (``None`` for evicted slots awaiting compaction).
@@ -152,12 +151,11 @@ class ClusterState:
         slot = self.n_nodes
         if slot >= len(self._node):
             self._node = _grown(self._node, slot + 1)
-        row = self._node[slot]
-        row["ram_gb"] = node.ram_gb
-        row["swap_gb"] = node.swap_gb
-        row["cores"] = node.cores
-        row["up"] = node.is_up
-        row["speed"] = node.speed_factor
+        # One tuple per row (NODE_DTYPE order): a single structured write
+        # instead of one per field.  The reservation aggregates start at
+        # zero and are written by the first refresh.
+        self._node[slot] = (node.ram_gb, node.swap_gb, node.cores, node.is_up,
+                            node.speed_factor, 0.0, 0.0, 0)
         self.node_objs.append(node)
         self.node_ids.append(int(node.node_id))
         self.n_nodes = slot + 1
@@ -180,25 +178,19 @@ class ClusterState:
         self.version += 1
         slot = self.n_execs
         if slot >= len(self._exec):
-            old_capacity = len(self._exec)
             self._exec = _grown(self._exec, slot + 1)
-            _nan_memo(self._exec, old_capacity)
-        # Memo columns need no per-adoption writes: every slot at or
-        # above ``n_execs`` is pre-filled with NaN (at allocation and by
-        # compact() for the reclaimed tail).
-        row = self._exec[slot]
-        row["node_slot"] = node_slot
-        row["app_index"] = executor.app_index
-        row["cpu_demand"] = executor.cpu_demand
-        row["budget_gb"] = executor.memory_budget_gb
-        row["assigned_gb"] = executor._assigned_gb
-        row["processed_gb"] = executor._processed_gb
-        row["alive"] = True
+        # One tuple per row (EXEC_DTYPE order): a single structured write
+        # instead of one per field.  NaN marks the memo columns as never
+        # filled.  ``is_active`` still reads the object's own scalars here,
+        # the values this row stores.
+        self._exec[slot] = (node_slot, executor.app_index, executor.cpu_demand,
+                            executor.memory_budget_gb, executor._assigned_gb,
+                            executor._processed_gb, np.nan, np.nan, np.nan,
+                            executor.is_active, True)
         self.exec_objs.append(executor)
         self.n_execs = slot + 1
         executor._state = self
         executor._slot = slot
-        row["active"] = executor.is_active
         return slot
 
     def evict_executor(self, executor) -> None:
@@ -242,7 +234,6 @@ class ClusterState:
         self._exec[:n_live] = self._exec[keep]
         self._exec["alive"][n_live:self.n_execs] = False
         self._exec["active"][n_live:self.n_execs] = False
-        _nan_memo(self._exec[:self.n_execs], n_live)
         live_objs = [self.exec_objs[slot] for slot in keep.tolist()]
         for new_slot, executor in enumerate(live_objs):
             executor._slot = new_slot
@@ -384,17 +375,6 @@ class ClusterState:
         self.app_objs = live_objs
         self.n_apps = n_live
         self._n_apps_dead = 0
-
-
-def _nan_memo(array: np.ndarray, start: int) -> None:
-    """NaN-fill the engine memo columns of executor rows from ``start``.
-
-    NaN marks a memo slot as never filled; keeping unclaimed slots
-    pre-NaN'd lets :meth:`ClusterState.adopt_executor` skip three scalar
-    field writes on the spawn hot path.
-    """
-    for column in ("rate_gb_per_min", "footprint_gb", "footprint_key_gb"):
-        array[column][start:] = np.nan
 
 
 def _grown(array: np.ndarray, need: int) -> np.ndarray:

@@ -60,9 +60,9 @@ class ResourceManager:
     def grant(self, request: ContainerRequest) -> ContainerGrant:
         """Grant a container, raising ``RuntimeError`` if it does not fit.
 
-        Granting does not by itself place an executor — the simulator's
-        scheduling context does that — but every executor placement goes
-        through a grant so the admission rule is applied uniformly.
+        Granting does not place an executor.  The simulator's scheduling
+        context places executors and applies the same admission test
+        itself (``Node.can_host``), without filing grants.
         """
         if not self.can_satisfy(request):
             raise RuntimeError(

@@ -21,6 +21,8 @@ the paper.
 
 from __future__ import annotations
 
+import bisect
+
 import numpy as np
 
 from repro.cluster.simulator import NodeFeatures, SchedulingContext
@@ -92,11 +94,11 @@ class MemoryAwareCoLocationScheduler(Scheduler):
             self._round_robin(waiting, lambda k: self._schedule_app(
                 ctx, waiting[k], max_new_executors=1))
             return
-        if not (features.up & (features.free_gb >= self.min_free_gb)).any():
-            # No live node clears the minimum-free bar, so no placement
-            # pass below could spawn anything (each scan would break at
-            # its first node); the scalar walk is side-effect-free in
-            # that case, so skip the waiting queue entirely.
+        ranking = _Ranking(features, ctx.cluster.state, self.min_free_gb)
+        if not ranking.entries:
+            # No live node clears the minimum-free bar, so no offer could
+            # spawn anything; offers are side-effect-free in that case,
+            # so skip the waiting queue entirely.
             return
         waiting = ctx.waiting_apps()
         if not waiting:
@@ -109,7 +111,7 @@ class MemoryAwareCoLocationScheduler(Scheduler):
         in_flight, active = ctx.app_tallies(waiting)
         self._prefetch_footprints(waiting, in_flight, active)
         self._round_robin(waiting, lambda k: self._place_tallied(
-            ctx, waiting, k, in_flight, active))
+            ctx, waiting, k, in_flight, active, ranking))
 
     @staticmethod
     def _round_robin(waiting: list[SparkApplication], place) -> None:
@@ -119,19 +121,21 @@ class MemoryAwareCoLocationScheduler(Scheduler):
         possible instead of letting already-running jobs absorb every
         freed resource: applications that have not received any executor
         yet get first pick of one executor each, and further growth is
-        granted round-robin — one executor per application per round,
-        looping until nothing more fits this step — so the dispatcher is
-        work-conserving without letting the oldest job starve the rest.
+        granted round-robin — one executor per application per round —
+        so the dispatcher is work-conserving without letting the oldest
+        job starve the rest.
+
+        An application settles the first time an offer places nothing and
+        gets no more offers in this call.  No placement is lost: a refused
+        offer changes nothing, and the call's other changes are its own
+        spawns, which only take memory and CPU from nodes and leave other
+        applications untouched, so a settled application would be refused
+        again.  The rounds end where a full round would place nothing.
         """
-        for k, app in enumerate(waiting):
-            if not app.executors:
-                place(k)
-        progressed = True
-        while progressed:
-            progressed = False
-            for k in range(len(waiting)):
-                if place(k):
-                    progressed = True
+        live = [k for k, app in enumerate(waiting)
+                if app.executors or place(k)]
+        while live:
+            live = [k for k in live if place(k)]
 
     def on_cluster_change(self, ctx: SchedulingContext, event) -> None:
         super().on_cluster_change(ctx, event)
@@ -187,29 +191,46 @@ class MemoryAwareCoLocationScheduler(Scheduler):
 
     def _place_tallied(self, ctx: SchedulingContext,
                        waiting: list[SparkApplication], k: int,
-                       in_flight: list[float], active: list[int]) -> int:
+                       in_flight: list[float], active: list[int],
+                       ranking: "_Ranking") -> int:
         """Offer ``waiting[k]`` one executor; keep its tallies exact.
 
         The vector-kernel form of ``_schedule_app(..., max_new_executors=1)``:
-        the same target and the same scan, with the in-flight data and
-        active count read from the tallies instead of the executor list.
+        the same target, sizing and visiting order, with the in-flight
+        data and active count read from the tallies and the nodes from
+        the pass's ``ranking``.  Nothing changes before the one spawn, so
+        the share is constant over the walk.
         """
         app = waiting[k]
         # The executor target follows the *remaining* data (in-flight plus
         # unassigned), as in the scalar scan below.
         desired = self.allocation_policy.desired_executors(
             max(app.unassigned_gb + in_flight[k], 1e-3))
-        if active[k] >= desired:
+        if active[k] >= desired or app.unassigned_gb <= 1e-6:
             return 0
-        features = ctx.node_features()
-        executor = self._place_one_vector(
-            ctx, app, features, self.score_batch(ctx, app, features),
-            desired, active[k])
-        if executor is None:
-            return 0
-        in_flight[k] += executor.assigned_gb
-        active[k] += 1
-        return 1
+        share = app.unassigned_gb / max(desired - active[k], 1)
+        # Never starve an application's final sliver of data: the
+        # minimum-chunk rule only applies while larger chunks remain.  It
+        # also keeps chunks above 1e-9 GB, so a refused spawn takes none.
+        floor = min(self.min_data_gb, app.unassigned_gb - 1e-9)
+        cpu_load = self.estimator.cpu_load(app.name)
+        for position, slot, free_gb in ranking.walk(cpu_load):
+            budget, data = self._size_executor(app.name, share, free_gb)
+            if budget > free_gb:
+                # Only without resizing can the reservation exceed the
+                # free memory: this node is short of the predicted need,
+                # and every later node has less free memory.
+                break
+            if data < floor:
+                continue
+            executor = ctx.spawn_executor(app, ranking.node_ids[slot],
+                                          budget, data)
+            if executor is not None:
+                ranking.spawned(position)
+                in_flight[k] += executor.assigned_gb
+                active[k] += 1
+                return 1
+        return 0
 
     def _schedule_app(self, ctx: SchedulingContext, app: SparkApplication,
                       max_new_executors: int | None = None) -> int:
@@ -248,47 +269,12 @@ class MemoryAwareCoLocationScheduler(Scheduler):
                 spawned += 1
         return spawned
 
-    def _place_one_vector(self, ctx: SchedulingContext,
-                          app: SparkApplication, features: NodeFeatures,
-                          scores: np.ndarray, desired: int, active: int):
-        """Column-scored form of the single-spawn scan above.
-
-        Valid only for ``max_new_executors == 1``: until the one spawn
-        happens nothing mutates, so the share and the feature snapshot
-        stay constant through the scan — exactly like the scalar loop,
-        which breaks right after its first successful spawn.  Returns the
-        spawned executor, or ``None``.
-        """
-        if app.unassigned_gb <= 1e-6:
-            return None
-        slots = features.ranked(scores)
-        share = app.unassigned_gb / max(desired - active, 1)
-        if not self.resize_to_fit and slots.size and share > 1e-9:
-            # Column admission: without resizing, a node takes the full
-            # share or nothing, and ``_size_executor`` gives any node
-            # short of the predicted need a zero share, which the scan
-            # below skips.  So keep only the nodes that cover it.  A share
-            # above 1e-9 is granted whole, so a refused spawn leaves the
-            # app untouched and the share constant over the scan.
-            predicted = self._predicted_footprint(app.name, share)
-            slots = slots[features.free_gb[slots] >= predicted]
-        for slot in slots.tolist():
-            free_gb = float(features.free_gb[slot])
-            share = app.unassigned_gb / max(desired - active, 1)
-            budget, data = self._size_executor(app.name, share, free_gb)
-            # Never starve an application's final sliver of data: the
-            # minimum-chunk rule only applies while larger chunks remain.
-            if data < min(self.min_data_gb, app.unassigned_gb - 1e-9):
-                continue
-            executor = ctx.spawn_executor(app, int(features.node_ids[slot]),
-                                          budget, data)
-            if executor is not None:
-                return executor
-        return None
-
     def score_batch(self, ctx: SchedulingContext, app: SparkApplication,
                     features: NodeFeatures) -> np.ndarray:
         """Free memory as the score, NaN where the admission rules fail.
+
+        The scheme's declared rule: the vector-kernel pass walks this
+        order from its per-call ``_Ranking`` instead of scoring per offer.
 
         The NaN mask is the scalar scan's skip set: down nodes, nodes
         under ``min_free_gb`` (the scalar loop breaks there — on a
@@ -334,3 +320,51 @@ class MemoryAwareCoLocationScheduler(Scheduler):
                          * self.safety_margin)
             self._predicted_gb[key] = predicted
         return predicted
+
+
+class _Ranking:
+    """The pass's node order, ranked once per ``schedule()`` call.
+
+    Live nodes with at least ``min_free_gb`` unreserved, most free memory
+    first, ties in slot order: the order ``features.ranked(score_batch(...))``
+    visits, before the per-app CPU test.  Within a call only the pass's
+    own spawns change nodes, each lowering the free memory and raising the
+    CPU load of one node, so :meth:`spawned` re-reads that node alone.
+    """
+
+    __slots__ = ("entries", "node_ids", "_reserved_cpu", "_state",
+                 "_min_free_gb")
+
+    def __init__(self, features: NodeFeatures, state,
+                 min_free_gb: float) -> None:
+        free = features.free_gb
+        slots = np.flatnonzero(features.up & (free >= min_free_gb))
+        #: ``(-free_gb, slot)`` per ranked node, ascending.
+        self.entries = sorted(zip((-free[slots]).tolist(), slots.tolist()))
+        #: Node ids, slot order.
+        self.node_ids = features.node_ids.tolist()
+        self._reserved_cpu = features.reserved_cpu.tolist()
+        self._state = state
+        self._min_free_gb = min_free_gb
+
+    def walk(self, cpu_load: float):
+        """``(position, slot, free GB)`` of each ranked node whose CPU
+        admits ``cpu_load`` more, in rank order (``score_batch``'s mask)."""
+        reserved_cpu = self._reserved_cpu
+        for position, (neg_free, slot) in enumerate(self.entries):
+            if reserved_cpu[slot] + cpu_load <= 1.0 + 1e-9:
+                yield position, slot, -neg_free
+
+    def spawned(self, position: int) -> None:
+        """Re-rank the node at ``position`` after a spawn landed on it.
+
+        Free memory is ``max(ram - reserved, 0)`` on the node's columns,
+        the expression ``NodeFeatures`` computes.
+        """
+        _, slot = self.entries.pop(position)
+        rows = self._state.nodes_view()
+        free = max(float(rows["ram_gb"][slot] - rows["reserved_mem_gb"][slot]),
+                   0.0)
+        self._reserved_cpu[slot] = float(rows["reserved_cpu"][slot])
+        if free >= self._min_free_gb:
+            bisect.insort(self.entries, (-free, slot))

@@ -8,6 +8,10 @@ scheme that runs the dispatcher, that the tallies equal the object walks
 ``SparkApplication.remaining_gb`` / ``active_executors`` bit for bit:
 when the context computes them, and after every placement attempt.
 churn20 adds node failures, kills and re-runs; L5 is a busy batch.
+
+A third spy checks the settle rule of ``_round_robin`` on both kernels:
+an application gets no further offer in a call once one of its offers
+placed nothing, and no settled application could have placed anything.
 """
 
 from types import SimpleNamespace
@@ -26,6 +30,7 @@ from repro.spark.executor import ExecutorState
 SCHEMES = ("ours", "oracle", "quasar", "meta")
 SCENARIOS = ("churn20", "L5")
 ENGINES = ("event", "fixed")
+KERNELS = ("vector", "object")
 SEED = 7
 
 
@@ -60,6 +65,11 @@ def assert_exact(app, in_flight, active, where):
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_tallies_match_object_walks(scheme, scenario, engine, artefacts,
                                     monkeypatch):
+    run_spied(scheme, scenario, engine, artefacts, monkeypatch)
+
+
+def run_spied(scheme, scenario, engine, artefacts, monkeypatch):
+    """Run one cell with both spies installed."""
     counts = {"tallies": 0, "placements": 0, "spawns": 0}
     tallies = SchedulingContext.app_tallies
     place = MemoryAwareCoLocationScheduler._place_tallied
@@ -71,9 +81,9 @@ def test_tallies_match_object_walks(scheme, scenario, engine, artefacts,
             assert_exact(app, app_in_flight, app_active, "app_tallies")
         return in_flight, active
 
-    def spy_place(self, ctx, waiting, k, in_flight, active):
+    def spy_place(self, ctx, waiting, k, in_flight, active, ranking):
         before = active[k]
-        spawned = place(self, ctx, waiting, k, in_flight, active)
+        spawned = place(self, ctx, waiting, k, in_flight, active, ranking)
         counts["placements"] += 1
         counts["spawns"] += spawned
         assert active[k] == before + spawned
@@ -84,16 +94,56 @@ def test_tallies_match_object_walks(scheme, scenario, engine, artefacts,
     monkeypatch.setattr(SchedulingContext, "app_tallies", spy_tallies)
     monkeypatch.setattr(MemoryAwareCoLocationScheduler, "_place_tallied",
                         spy_place)
+    simulate(scheme, scenario, engine, artefacts)
+    assert counts["tallies"] > 0 and counts["spawns"] > 0
+    assert counts["placements"] > counts["spawns"]
+
+
+def simulate(scheme, scenario, engine, artefacts, kernel="vector"):
     spec = load_scenario(scenario)
     cluster = spec.build_cluster()
     policy = DynamicAllocationPolicy(max_executors=len(cluster))
     scheduler = build_scheduler(scheme, artefacts, allocation_policy=policy)
     ClusterSimulator(cluster, scheduler, seed=SEED, step_mode=engine,
-                     max_time_min=spec.max_time_min,
-                     faults=spec.faults).run(
+                     max_time_min=spec.max_time_min, faults=spec.faults,
+                     kernel=kernel).run(
         spec.make_mixes(n_mixes=1, seed=SEED)[0])
-    assert counts["tallies"] > 0 and counts["spawns"] > 0
-    assert counts["placements"] > counts["spawns"]
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("scenario", SCENARIOS)
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_settled_apps_would_place_nothing(scheme, scenario, engine, kernel,
+                                          artefacts, monkeypatch):
+    """An app gets no offer after one places nothing, and that drops no
+    placement: after each pass, one more full round over every waiting
+    app places nothing, the stop condition of the historical loop."""
+    counts = {"calls": 0, "spawns": 0, "settled": 0}
+    round_robin = MemoryAwareCoLocationScheduler._round_robin
+
+    def spy(waiting, place):
+        settled = set()
+
+        def offer(k):
+            assert k not in settled, f"{waiting[k].name} offered after settling"
+            placed = place(k)
+            counts["spawns"] += placed
+            if not placed:
+                settled.add(k)
+            return placed
+
+        round_robin(waiting, offer)
+        counts["calls"] += 1
+        counts["settled"] += len(settled)
+        assert settled == set(range(len(waiting)))
+        for k in range(len(waiting)):
+            assert not place(k), f"{waiting[k].name} placed after settling"
+
+    monkeypatch.setattr(MemoryAwareCoLocationScheduler, "_round_robin",
+                        staticmethod(spy))
+    simulate(scheme, scenario, engine, artefacts, kernel)
+    assert counts["calls"] > 0 and counts["spawns"] > 0
 
 
 def test_object_kernel_keeps_the_scalar_walk(monkeypatch):
