@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro._checks import require_finite, require_integer
 from repro.cluster.events import (
     EventKind,
     ExecutorKilled,
@@ -108,6 +109,13 @@ class FaultEvent:
         if self.action not in FAULT_ACTIONS:
             raise ValueError(f"unknown fault action {self.action!r}; "
                              f"expected one of {FAULT_ACTIONS}")
+        for name in ("time_min", "draw", "speed_factor", "ram_gb", "swap_gb"):
+            require_finite(name, getattr(self, name))
+        if self.duration_min is not None:
+            require_finite("duration_min", self.duration_min)
+        if self.node_id is not None:
+            require_integer("node_id", self.node_id)
+        require_integer("cores", self.cores)
         if self.time_min < 0:
             raise ValueError("time_min cannot be negative")
         if not 0.0 <= self.draw < 1.0:
@@ -148,6 +156,14 @@ class FaultEvent:
         return cls(**payload)
 
 
+#: The numeric parameters of a :class:`FaultSpec`.
+_SPEC_NUMBERS: tuple[str, ...] = (
+    "node_failure_rate_per_hour", "node_recovery_min",
+    "preemption_rate_per_hour", "straggler_rate_per_hour",
+    "straggler_slowdown", "straggler_duration_min", "horizon_min",
+)
+
+
 @dataclass(frozen=True)
 class FaultSpec:
     """Declarative description of a scenario's dynamic-cluster behaviour.
@@ -178,6 +194,8 @@ class FaultSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.timeline, tuple):
             object.__setattr__(self, "timeline", tuple(self.timeline))
+        for name in _SPEC_NUMBERS:
+            require_finite(name, getattr(self, name))
         for rate in (self.node_failure_rate_per_hour,
                      self.preemption_rate_per_hour,
                      self.straggler_rate_per_hour):
@@ -258,10 +276,7 @@ class FaultSpec:
         if self.timeline:
             payload["timeline"] = [event.to_dict() for event in self.timeline]
         defaults = FaultSpec()
-        for name in ("node_failure_rate_per_hour", "node_recovery_min",
-                     "preemption_rate_per_hour", "straggler_rate_per_hour",
-                     "straggler_slowdown", "straggler_duration_min",
-                     "horizon_min"):
+        for name in _SPEC_NUMBERS:
             value = getattr(self, name)
             if value != getattr(defaults, name):
                 payload[name] = value

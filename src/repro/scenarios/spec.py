@@ -22,13 +22,13 @@ trip through a small JSON document::
 from __future__ import annotations
 
 import json
-import math
 import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from repro._checks import is_finite_number
 from repro.cluster.cluster import Cluster
 from repro.cluster.faults import FaultSpec
 from repro.cluster.topologies import build_topology, topology_specs
@@ -190,8 +190,7 @@ class ScenarioSpec:
 
 def _positive_finite(value) -> bool:
     """A real, non-boolean number above zero and below infinity."""
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value) and value > 0)
+    return is_finite_number(value) and value > 0
 
 
 def _is_pair(entry) -> bool:

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro._checks import require_finite
 from repro.workloads.mixes import Job
 
 __all__ = [
@@ -157,6 +158,10 @@ class ArrivalSpec:
         if self.kind not in ARRIVAL_KINDS:
             raise ValueError(f"unknown arrival kind {self.kind!r}; "
                              f"expected one of {ARRIVAL_KINDS}")
+        for name in ("rate_per_min", "on_min", "off_min", "period_min"):
+            require_finite(name, getattr(self, name))
+        for weight in self.profile:
+            require_finite("profile", weight)
         # Draw once eagerly so a bad parameterisation fails at spec
         # construction, not in the middle of an experiment grid.
         self.arrival_times(1, np.random.default_rng(0))

@@ -45,6 +45,60 @@ class TestFaultSpecValidation:
             FaultEvent(time_min=1.0, action="node_join"),)).is_empty()
 
 
+class TestBoundaryValidation:
+    """Non-finite and boolean numbers fail at construction, naming the
+    field, from the constructor and from ``from_dict``.  Before, a NaN or
+    infinite failure rate made ``realize`` loop forever."""
+
+    NAN, INF = float("nan"), float("inf")
+    SPEC_BAD = [
+        ("node_failure_rate_per_hour", NAN),
+        ("node_failure_rate_per_hour", INF),
+        ("node_recovery_min", NAN),
+        ("preemption_rate_per_hour", True),
+        ("straggler_rate_per_hour", NAN),
+        ("straggler_slowdown", True),
+        ("straggler_duration_min", NAN),
+        ("horizon_min", NAN),
+        ("horizon_min", INF),
+    ]
+    EVENT_BAD = [
+        ("time_min", NAN),
+        ("time_min", INF),
+        ("node_id", True),
+        ("draw", False),
+        ("duration_min", NAN),
+        ("speed_factor", True),
+        ("ram_gb", INF),
+        ("swap_gb", NAN),
+        ("cores", True),
+    ]
+
+    @pytest.mark.parametrize("field,value", SPEC_BAD)
+    def test_spec_rejects(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            FaultSpec(**{field: value})
+        with pytest.raises(ValueError, match=field):
+            FaultSpec.from_dict({field: value})
+
+    @pytest.mark.parametrize("field,value", EVENT_BAD)
+    def test_event_rejects(self, field, value):
+        fields = {"time_min": 1.0, "action": "node_down", field: value}
+        with pytest.raises(ValueError, match=field):
+            FaultEvent(**fields)
+        with pytest.raises(ValueError, match=field):
+            FaultEvent.from_dict(fields)
+        with pytest.raises(ValueError, match=field):
+            FaultSpec.from_dict({"timeline": [fields]})
+
+    def test_finite_numbers_still_realize(self):
+        spec = FaultSpec.from_dict({"node_failure_rate_per_hour": 2,
+                                    "node_recovery_min": 30,
+                                    "horizon_min": 120})
+        events = spec.realize(np.random.default_rng(0))
+        assert all(0 <= event.time_min < 120 for event in events)
+
+
 class TestFaultSpecJson:
     def test_round_trip(self):
         spec = FaultSpec(

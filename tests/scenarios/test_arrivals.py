@@ -134,3 +134,32 @@ class TestSpecInterface:
     def test_zero_jobs_is_fine(self):
         spec = ArrivalSpec(kind="poisson", rate_per_min=1.0)
         assert spec.arrival_times(0, np.random.default_rng(0)).size == 0
+
+
+class TestBoundaryValidation:
+    """Non-finite and boolean numbers fail at construction, naming the
+    field, from the constructor and from ``from_dict``.  Before, a NaN
+    rate drew NaN arrival times and an infinite one drew all zeros."""
+
+    NAN, INF = float("nan"), float("inf")
+    BAD = [
+        ("rate_per_min", {"kind": "poisson", "rate_per_min": NAN}),
+        ("rate_per_min", {"kind": "poisson", "rate_per_min": INF}),
+        ("rate_per_min", {"kind": "poisson", "rate_per_min": True}),
+        ("on_min", {"kind": "bursty", "on_min": NAN}),
+        ("off_min", {"kind": "bursty", "off_min": INF}),
+        ("period_min", {"kind": "diurnal", "period_min": NAN}),
+        ("profile", {"kind": "diurnal", "profile": (1.0, NAN)}),
+    ]
+
+    @pytest.mark.parametrize("field,fields", BAD,
+                             ids=[f"{f}-{i}" for i, (f, _) in enumerate(BAD)])
+    def test_constructor_rejects(self, field, fields):
+        with pytest.raises(ValueError, match=field):
+            ArrivalSpec(**fields)
+
+    @pytest.mark.parametrize("field,fields", BAD,
+                             ids=[f"{f}-{i}" for i, (f, _) in enumerate(BAD)])
+    def test_from_dict_rejects(self, field, fields):
+        with pytest.raises(ValueError, match=field):
+            ArrivalSpec.from_dict(fields)
