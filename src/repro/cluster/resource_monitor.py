@@ -290,4 +290,9 @@ class StreamingUtilization:
         if not len(self._sums) or not self._n_samples:
             return 0.0
         means = (self._sums / self._n_samples).tolist()
-        return sum(means) / len(means)
+        # Added left to right: ``sum()`` compensates float rounding from
+        # Python 3.12.
+        total = 0.0
+        for mean in means:
+            total += mean
+        return total / len(means)

@@ -178,8 +178,12 @@ class ContextMonitor:
         skew = 0.0
         if counts:
             skew = float(max(counts)) - float(np.mean(counts))
-        capacity = sum(node.ram_gb for node in up)
-        free = sum(node.free_reserved_memory_gb for node in up)
+        # Added left to right: ``sum()`` compensates float rounding from
+        # Python 3.12, and this signal decides switches.
+        capacity = free = 0.0
+        for node in up:
+            capacity += node.ram_gb
+            free += node.free_reserved_memory_gb
         pressure = 1.0 - free / capacity if capacity > 0 else 1.0
         return ContextSignals(
             time_min=ctx.now,

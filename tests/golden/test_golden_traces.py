@@ -14,6 +14,7 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 _REGEN_PATH = Path(__file__).resolve().parent / "regen.py"
@@ -22,9 +23,7 @@ regen = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(regen)
 
 
-@pytest.mark.parametrize("scenario,scheme", regen.CASES,
-                         ids=[f"{s}-{p}" for s, p in regen.CASES])
-def test_run_matches_committed_golden_trace(scenario, scheme):
+def assert_matches_golden(scenario, scheme):
     path = regen.trace_path(scenario, scheme)
     assert path.is_file(), (
         f"golden trace {path.name} is missing; generate it with "
@@ -36,6 +35,33 @@ def test_run_matches_committed_golden_trace(scenario, scheme):
         f"({path.name}).  If the behaviour change is intentional, rerun "
         f"`PYTHONPATH=src python {_REGEN_PATH} --regen` and commit the "
         "updated traces.")
+
+
+@pytest.mark.parametrize("scenario,scheme", regen.CASES,
+                         ids=[f"{s}-{p}" for s, p in regen.CASES])
+def test_run_matches_committed_golden_trace(scenario, scheme):
+    assert_matches_golden(scenario, scheme)
+
+
+@pytest.mark.parametrize("scenario,scheme", regen.CASES,
+                         ids=[f"{s}-{p}" for s, p in regen.CASES])
+def test_golden_trace_holds_under_python312_sum(scenario, scheme,
+                                                python312_sum):
+    """The same traces when ``sum()`` compensates float rounding, as it
+    does from Python 3.12: no total on the traced paths may use it."""
+    assert_matches_golden(scenario, scheme)
+
+
+def test_python312_sum_compensates_floats_only(python312_sum):
+    assert sum([0.1] * 10) == 1.0
+    assert sum([1e100, 1.0, -1e100]) == 1.0
+    assert sum([2**62, 2**62, 1]) == 2**63 + 1
+    # NumPy scalars are not exact floats: they add plainly, left to right.
+    tenths = np.full(10, 0.1)
+    plain = 0.0
+    for tenth in tenths:
+        plain += tenth
+    assert plain != 1.0 and sum(tenths) == plain
 
 
 def test_trace_fingerprints_are_nontrivial():

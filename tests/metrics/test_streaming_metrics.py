@@ -71,6 +71,19 @@ class TestStreamingUtilization:
     def test_empty_stream_means_zero(self):
         assert StreamingUtilization().mean_percent() == 0.0
 
+    def test_mean_adds_node_means_left_to_right(self, python312_sum):
+        # Ten nodes at 0.1 %: a compensated sum() of the node means is
+        # 1.0, the left-to-right total 0.9999999999999999.
+        streaming = StreamingUtilization()
+        streaming._on_sample(ClusterSample(
+            time=0.0, times=(0.0,),
+            samples=tuple((i, 0.0, 0.0, 0.1) for i in range(10))))
+        total = 0.0
+        for _ in range(10):
+            total += 0.1
+        assert total != sum([0.1] * 10)
+        assert streaming.mean_percent() == total / 10
+
     def test_mid_run_node_join_matches_zero_backfilled_traces(self):
         from repro.cluster.faults import FaultEvent, FaultSpec
 

@@ -68,6 +68,17 @@ def test_tallies_match_object_walks(scheme, scenario, engine, artefacts,
     run_spied(scheme, scenario, engine, artefacts, monkeypatch)
 
 
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("scenario", SCENARIOS)
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_tallies_hold_under_python312_sum(scheme, scenario, engine,
+                                          artefacts, monkeypatch,
+                                          python312_sum):
+    """The same spies when ``sum()`` compensates float rounding, as it
+    does from Python 3.12: the walks and the columns must still agree."""
+    run_spied(scheme, scenario, engine, artefacts, monkeypatch)
+
+
 def run_spied(scheme, scenario, engine, artefacts, monkeypatch):
     """Run one cell with both spies installed."""
     counts = {"tallies": 0, "placements": 0, "spawns": 0}

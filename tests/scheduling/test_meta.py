@@ -11,6 +11,7 @@ footprint memo (the switch-replay rule).
 """
 
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -23,6 +24,7 @@ from repro.cluster.events import (
     StragglerRecovered,
 )
 from repro.cluster.faults import FaultEvent, FaultSpec
+from repro.cluster.node import Node
 from repro.metrics.throughput import evaluate_schedule
 from repro.scheduling import (
     IsolatedScheduler,
@@ -31,6 +33,7 @@ from repro.scheduling import (
 )
 from repro.scheduling.meta import ContextMonitor, MetaScheduler
 from repro.spark.driver import DynamicAllocationPolicy
+from repro.spark.executor import Executor
 from repro.workloads.mixes import Job
 
 SEED = 11
@@ -85,6 +88,23 @@ def run_storm(engine, kernel, dwell_min=5.0, scheduler=None):
 
 
 class TestContextMonitor:
+    def test_memory_pressure_adds_left_to_right(self, python312_sum):
+        # Ten 0.1 GB nodes: a compensated sum() of their capacity is 1.0,
+        # the left-to-right total 0.9999999999999999.
+        nodes = [Node(node_id=i, ram_gb=0.1) for i in range(10)]
+        for node in nodes:
+            node.add_executor(Executor("a", node.node_id, memory_budget_gb=0.03,
+                                       assigned_gb=1.0, cpu_demand=0.1))
+        ctx = SimpleNamespace(cluster=SimpleNamespace(up_nodes=lambda: nodes),
+                              now=0.0, waiting_apps=lambda: [])
+        capacity = free = 0.0
+        for node in nodes:
+            capacity += node.ram_gb
+            free += node.free_reserved_memory_gb
+        assert capacity != sum(node.ram_gb for node in nodes)
+        pressure = ContextMonitor().signals(ctx).memory_pressure
+        assert pressure == 1.0 - free / capacity
+
     def test_window_prunes_and_ages_out(self):
         monitor = ContextMonitor(window_min=10.0)
         bus = EventBus()
