@@ -87,7 +87,12 @@ class SparkApplication:
     @property
     def processed_gb(self) -> float:
         """Data processed so far across all executors (including failed)."""
-        return sum(e.processed_gb for e in self.executors)
+        # Added left to right, like ``remaining_gb`` below: ``sum()``
+        # compensates float rounding from Python 3.12.
+        processed = 0.0
+        for e in self.executors:
+            processed += e.processed_gb
+        return processed
 
     @property
     def remaining_gb(self) -> float:
