@@ -2,15 +2,22 @@
 """Golden-trace harness: compact, committed fingerprints of whole runs.
 
 A *trace* is a small JSON document fingerprinting one simulated schedule:
-the retained event log's per-kind counts, the headline metrics, one
-compact record per job, and the fault telemetry.  Traces for the seed
-scenario L1, the mid-size batch L5 and the dynamic-cluster scenario
-churn20 (× the prediction-free ``pairwise``/``oracle`` schemes, plus
-``oracle_noresize``: the oracle under Quasar's no-resize admission) are
-committed under ``tests/golden/`` and diffed against fresh runs by
-``test_golden_traces.py`` — so a refactor of the engine, the bus, or the
-fault subsystem gets bit-for-bit evidence instead of ad-hoc worktree
-comparisons.
+the retained event log's per-kind counts and a digest of its ordered
+(kind, time, app, node) records, the headline metrics, one compact record
+per job (processed volume included), the fault telemetry, and a digest of
+the same trace built on the fixed-step engine.  Every built-in registered
+scheme is traced on the seed scenario L1, the mid-size batch L5, the
+dynamic-cluster scenario churn20 and the mid-run regime change
+regime_shift, plus ``oracle_noresize`` (the oracle under Quasar's
+no-resize admission) on L1/L5/churn20/L8.  The traces are committed under
+``tests/golden/`` and diffed against fresh runs by
+``test_golden_traces.py``, so a refactor of the engine, the bus, the
+schemes or the fault subsystem gets bit-for-bit evidence on both engines.
+
+The schemes that need trained artefacts share one offline suite trained
+here (``collect_training_data(seed=0)`` and the mixture of experts fitted
+on it); ``learned`` serves the committed default checkpoint whatever
+``$REPRO_LEARNED_CHECKPOINT`` says.
 
 Regenerate after an *intentional* behaviour change::
 
@@ -23,8 +30,11 @@ code still matches the committed trace.
 from __future__ import annotations
 
 import argparse
+import functools
+import hashlib
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 GOLDEN_DIR = Path(__file__).resolve().parent
 
@@ -43,15 +53,23 @@ def _oracle_noresize(policy):
 #: builder taking the allocation policy.
 LOCAL_SCHEMES = {"oracle_noresize": _oracle_noresize}
 
-#: The committed cases: (scenario, scheme), all artefact-free schemes so
-#: neither the regen script nor the test ever trains a model.
-#: L8 is added for ``oracle_noresize`` because its queue is where the
-#: take-it-or-leave-it rule turns nodes away hundreds of times per run.
+#: The built-in registered schemes, in registration order; a test checks
+#: this tuple against the registry, so a new scheme lands with goldens.
+SCHEMES: tuple[str, ...] = (
+    "isolated", "pairwise", "online_search", "quasar", "ours", "oracle",
+    "learned", "meta", "unified_ann", "unified_power_law",
+    "unified_exponential", "unified_napierian_log")
+
+#: The scenarios every registered scheme is traced on.
+SCENARIOS: tuple[str, ...] = ("L1", "L5", "churn20", "regime_shift")
+
+#: The committed cases: (scenario, scheme).  L8 is added for
+#: ``oracle_noresize`` because its queue is where the take-it-or-leave-it
+#: rule turns nodes away hundreds of times per run.
 CASES: tuple[tuple[str, str], ...] = tuple(
-    (scenario, scheme)
-    for scenario in ("L1", "L5", "churn20")
-    for scheme in ("pairwise", "oracle", "oracle_noresize")
-) + (("L8", "oracle_noresize"),)
+    (scenario, scheme) for scenario in SCENARIOS for scheme in SCHEMES
+) + tuple((scenario, "oracle_noresize")
+          for scenario in ("L1", "L5", "churn20", "L8"))
 
 #: Every committed trace pins the same draw: the CLI's default seed on
 #: the default (event-driven) engine.
@@ -62,6 +80,37 @@ ENGINE = "event"
 def trace_path(scenario: str, scheme: str) -> Path:
     """Where the committed trace of one case lives."""
     return GOLDEN_DIR / f"{scenario}_{scheme}.json"
+
+
+@functools.lru_cache(maxsize=1)
+def artefacts() -> SimpleNamespace:
+    """The offline suite the trained schemes read, trained once."""
+    from repro.core.moe import MixtureOfExperts
+    from repro.core.training import collect_training_data
+
+    dataset = collect_training_data(seed=0)
+    return SimpleNamespace(dataset=dataset,
+                           moe=MixtureOfExperts.from_dataset(dataset))
+
+
+def build(scheme: str, policy):
+    """A fresh scheduler for one traced scheme."""
+    from repro.scheduling.registry import build_scheduler, scheme_info
+
+    local = LOCAL_SCHEMES.get(scheme)
+    if local is not None:
+        return local(policy)
+    kwargs = {"allocation_policy": policy}
+    if scheme == "learned":
+        from repro.env.train.scheme import DEFAULT_CHECKPOINT
+
+        kwargs["checkpoint"] = DEFAULT_CHECKPOINT
+    suite = artefacts() if scheme_info(scheme).requires else None
+    return build_scheduler(scheme, suite, **kwargs)
+
+
+def _sha256(payload) -> str:
+    return hashlib.sha256(json.dumps(payload).encode()).hexdigest()
 
 
 def make_trace(scenario: str, scheme: str, seed: int = SEED,
@@ -75,15 +124,12 @@ def make_trace(scenario: str, scheme: str, seed: int = SEED,
     from repro.cluster.simulator import ClusterSimulator
     from repro.metrics.throughput import evaluate_schedule, matched_apps
     from repro.scenarios import load_scenario
-    from repro.scheduling.registry import build_scheduler
     from repro.spark.driver import DynamicAllocationPolicy
 
     spec = load_scenario(scenario)
     cluster = spec.build_cluster()
     policy = DynamicAllocationPolicy(max_executors=len(cluster))
-    local = LOCAL_SCHEMES.get(scheme)
-    scheduler = (local(policy) if local is not None
-                 else build_scheduler(scheme, None, allocation_policy=policy))
+    scheduler = build(scheme, policy)
     simulator = ClusterSimulator(cluster, scheduler, seed=seed,
                                  step_mode=engine,
                                  max_time_min=spec.max_time_min,
@@ -93,9 +139,12 @@ def make_trace(scenario: str, scheme: str, seed: int = SEED,
     evaluation = evaluate_schedule(result, jobs, policy)
 
     event_counts: dict[str, int] = {}
+    stream = []
     for event in result.events.events:
         kind = event.kind.value
         event_counts[kind] = event_counts.get(kind, 0) + 1
+        stream.append((kind, event.time, getattr(event, "app", None),
+                       getattr(event, "node_id", None)))
 
     trace = {
         "scenario": spec.name,
@@ -104,6 +153,7 @@ def make_trace(scenario: str, scheme: str, seed: int = SEED,
         "engine": engine,
         "n_jobs": len(jobs),
         "event_counts": dict(sorted(event_counts.items())),
+        "event_stream_sha256": _sha256(stream),
         "metrics": {
             "stp": evaluation.stp,
             "antt": evaluation.antt,
@@ -119,6 +169,7 @@ def make_trace(scenario: str, scheme: str, seed: int = SEED,
                 "finish_time_min": app.finish_time,
                 "turnaround_min": app.turnaround_min(),
                 "slowdown": app.turnaround_min() / reference,
+                "processed_gb": app.processed_gb,
             }
             for _, app, reference in matched_apps(result, list(jobs), policy)
         ],
@@ -126,6 +177,15 @@ def make_trace(scenario: str, scheme: str, seed: int = SEED,
     if result.fault_summary is not None:
         trace["fault_summary"] = result.fault_summary.to_dict()
     return json.loads(json.dumps(trace))
+
+
+def make_golden(scenario: str, scheme: str) -> dict:
+    """The committed document of one case: the event-engine trace plus
+    ``fixed_engine_sha256``, the digest of the fixed-step engine's."""
+    golden = make_trace(scenario, scheme)
+    golden["fixed_engine_sha256"] = _sha256(
+        make_trace(scenario, scheme, engine="fixed"))
+    return golden
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -137,7 +197,7 @@ def main(argv: list[str] | None = None) -> int:
     stale = 0
     for scenario, scheme in CASES:
         path = trace_path(scenario, scheme)
-        trace = make_trace(scenario, scheme)
+        trace = make_golden(scenario, scheme)
         if args.regen:
             path.write_text(json.dumps(trace, indent=2) + "\n")
             print(f"wrote {path.relative_to(GOLDEN_DIR.parent.parent)}")

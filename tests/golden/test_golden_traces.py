@@ -1,11 +1,12 @@
 """Diff current runs against the committed golden traces.
 
 The traces (see ``regen.py`` in this directory) fingerprint whole
-simulated schedules — event-kind counts, headline metrics, per-job
-outcomes, fault telemetry — for L1/L5/churn20 under the artefact-free
-schemes.  Any behavioural drift in the engines, the event bus, the
-fault subsystem or the arrival path shows up here as a precise diff;
-an *intentional* change is blessed with::
+simulated schedules — event-kind counts and an ordered event-stream
+digest, headline metrics, per-job outcomes, fault telemetry, and a digest
+of the fixed-step engine's trace — for every registered scheme on
+L1/L5/churn20/regime_shift.  Any behavioural drift in the engines, the
+event bus, the schemes, the fault subsystem or the arrival path shows up
+here as a precise diff; an *intentional* change is blessed with::
 
     PYTHONPATH=src python tests/golden/regen.py --regen
 """
@@ -23,13 +24,19 @@ regen = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(regen)
 
 
-def assert_matches_golden(scenario, scheme):
+def assert_matches_golden(scenario, scheme, fixed_engine=True):
+    """Diff a fresh run against the committed trace; ``fixed_engine``
+    also rebuilds the fixed-step engine's trace and checks its digest."""
     path = regen.trace_path(scenario, scheme)
     assert path.is_file(), (
         f"golden trace {path.name} is missing; generate it with "
         f"`PYTHONPATH=src python {_REGEN_PATH} --regen`")
     committed = json.loads(path.read_text())
-    current = regen.make_trace(scenario, scheme)
+    if fixed_engine:
+        current = regen.make_golden(scenario, scheme)
+    else:
+        current = regen.make_trace(scenario, scheme)
+        committed.pop("fixed_engine_sha256")
     assert current == committed, (
         f"{scenario}/{scheme} drifted from its committed golden trace "
         f"({path.name}).  If the behaviour change is intentional, rerun "
@@ -47,9 +54,10 @@ def test_run_matches_committed_golden_trace(scenario, scheme):
                          ids=[f"{s}-{p}" for s, p in regen.CASES])
 def test_golden_trace_holds_under_python312_sum(scenario, scheme,
                                                 python312_sum):
-    """The same traces when ``sum()`` compensates float rounding, as it
-    does from Python 3.12: no total on the traced paths may use it."""
-    assert_matches_golden(scenario, scheme)
+    """The same event-engine traces when ``sum()`` compensates float
+    rounding, as it does from Python 3.12: no total on the traced paths
+    may use it."""
+    assert_matches_golden(scenario, scheme, fixed_engine=False)
 
 
 def test_python312_sum_compensates_floats_only(python312_sum):
