@@ -24,7 +24,6 @@ from dataclasses import dataclass, replace
 from typing import Iterable
 
 from repro.cluster.engine import STEP_MODES
-from repro.cluster.simulator import KERNELS
 from repro.scenarios.registry import load_scenario
 from repro.scenarios.spec import ScenarioSpec
 from repro.scheduling.registry import validate_schemes
@@ -72,11 +71,6 @@ class ExperimentPlan:
         Simulator step mode, ``"event"`` (default) or ``"fixed"``; both
         produce the same trajectories, the event engine just skips the
         steps at which nothing can change.
-    kernel:
-        How the engine's per-epoch hot loops run: ``"vector"`` (default)
-        reduces over the structured state arrays, ``"object"`` keeps the
-        per-object Python loops — the scalar parity oracle.  Both produce
-        bit-for-bit identical trajectories.
     workers:
         Worker processes for the grid.  ``1`` (default) runs in-process;
         larger values fan the independent grid cells out over a process
@@ -90,7 +84,6 @@ class ExperimentPlan:
     seed: int = 11
     time_step_min: float = 0.5
     engine: str = "event"
-    kernel: str = "vector"
     workers: int = 1
 
     def __post_init__(self) -> None:
@@ -126,9 +119,6 @@ class ExperimentPlan:
         if self.engine not in STEP_MODES:
             raise PlanError(f"unknown engine {self.engine!r} "
                             f"(available: {', '.join(STEP_MODES)})")
-        if self.kernel not in KERNELS:
-            raise PlanError(f"unknown kernel {self.kernel!r} "
-                            f"(available: {', '.join(KERNELS)})")
 
     # ------------------------------------------------------------------
     # Derived views
@@ -152,5 +142,5 @@ class ExperimentPlan:
         return (f"{len(self.scenarios)} scenario(s) x "
                 f"{len(self.schemes)} scheme(s) x {self.n_mixes} mix(es) "
                 f"= {self.n_cells} cells "
-                f"[engine={self.engine}, kernel={self.kernel}, "
-                f"workers={self.workers}, seed={self.seed}]")
+                f"[engine={self.engine}, workers={self.workers}, "
+                f"seed={self.seed}]")

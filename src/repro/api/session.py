@@ -75,13 +75,13 @@ def _simulate_cell(suite: SchedulerSuite, task: tuple) -> CellResult:
     yardstick, so fault-induced slowdowns show up as slowdowns rather
     than silently rescaling the baseline.
     """
-    scheme, mix_index, jobs, time_step_min, seed, engine, kernel, spec = task
+    scheme, mix_index, jobs, time_step_min, seed, engine, spec = task
     cluster = spec.build_cluster()
     policy = DynamicAllocationPolicy(max_executors=len(cluster))
     factory = suite.factory(scheme, allocation_policy=policy)
     simulator = ClusterSimulator(cluster, factory(),
                                  time_step_min=time_step_min, seed=seed,
-                                 step_mode=engine, kernel=kernel,
+                                 step_mode=engine,
                                  max_time_min=spec.max_time_min,
                                  faults=spec.faults)
     metrics = StreamingScheduleMetrics(jobs, policy).attach(simulator.events)
@@ -278,8 +278,7 @@ class Session:
                           scheme_order=plan.schemes)
 
     def rollout(self, scenario, policy="random", *, seed: int = 11,
-                engine: str = "event", kernel: str = "vector",
-                reward: str = "stp_delta",
+                engine: str = "event", reward: str = "stp_delta",
                 time_step_min: float = 0.5, max_steps: int | None = None,
                 record_rewards: bool = False,
                 obs_mode: str = "dataclass",
@@ -314,7 +313,7 @@ class Session:
             raise TypeError("policy must be a name or a repro.env.Policy, "
                             f"not {type(policy).__name__}")
         return run_episode(scenario, policy, seed=seed, engine=engine,
-                           kernel=kernel, reward=reward,
+                           reward=reward,
                            time_step_min=time_step_min, max_steps=max_steps,
                            record_rewards=record_rewards, obs_mode=obs_mode,
                            record_utilization=record_utilization)
@@ -349,7 +348,7 @@ class Session:
             for scheme in plan.schemes:
                 for mix_index, mix in enumerate(mixes):
                     tasks.append((scheme, mix_index, mix, plan.time_step_min,
-                                  plan.seed, plan.engine, plan.kernel, spec))
+                                  plan.seed, plan.engine, spec))
         return tasks
 
     def _abandon(self, pool: ProcessPoolExecutor) -> None:

@@ -13,8 +13,7 @@ Two interchangeable engines drive :class:`~repro.cluster.simulator.ClusterSimula
   event — earliest executor finish, job arrival, profiling-ready
   transition, a dynamic-cluster fault event, a scheduler-requested wake-up,
   or the rescan tick that bounds how stale a waiting queue may become —
-  and jumps simulated time directly to it, computing per-node progress with
-  NumPy instead of per-executor Python loops.  Out-of-memory kills and
+  and jumps simulated time directly to it.  Out-of-memory kills and
   paging transitions can only occur when node membership changes, so they
   are resolved instantaneously right after each scheduler invocation.
 
@@ -36,25 +35,13 @@ the grid-aligned jumps reproduce the fixed-step trajectory — placements,
 failures, finish times and monitor samples — while skipping every step at
 which nothing can change.
 
-**Kernels.**  Both engines run their per-epoch hot loops in one of two
-modes, selected by ``ClusterSimulator(kernel=...)``:
-
-* ``"vector"`` (default) — capacity accounting, progress advancement and
-  utilization sampling are vectorized reductions over the structured
-  arrays of :class:`~repro.cluster.state.ClusterState`, and the epoch
-  bookkeeping that scans every application (completion finalisation,
-  profiling-ready and rescan wake-points) runs over incrementally
-  maintained candidate sets instead of full rescans.
-* ``"object"`` — the historical per-object Python loops over the same
-  array-backed views; kept as the like-for-like baseline for the
-  throughput benchmark and as a bit-for-bit cross-check.
-
-Both kernels publish identical event streams: the vectorized reductions
-are chosen operation by operation to be IEEE-identical to the per-object
-iteration (per-node ``np.bincount`` accumulation matches insertion-order
-summation, finish events are emitted in the legacy node-major order, and
-so on), which the golden traces and the engine-equivalence invariants
-pin down.
+Both engines run their per-epoch hot loops as reductions over the
+structured arrays of :class:`~repro.cluster.state.ClusterState`: capacity
+accounting, progress advancement and utilization sampling are column
+operations, and the epoch bookkeeping that scans every application
+(completion finalisation, profiling-ready and rescan wake-points) runs over
+incrementally maintained candidate sets.  The committed golden traces
+(``tests/golden/``) pin both engines' event streams bit for bit.
 """
 
 from __future__ import annotations
@@ -86,9 +73,9 @@ STEP_MODES: tuple[str, ...] = ("fixed", "event")
 def _in_order_sum(values) -> float:
     """Add ``values`` left to right, the order ``np.bincount`` adds a bin.
 
-    The per-object paths total each node this way so the vector kernel
-    matches them bit for bit; ``sum()`` compensates float rounding from
-    Python 3.12 and would not.
+    The per-node OOM paths total each node this way so they match the
+    column reductions bit for bit; ``sum()`` compensates float rounding
+    from Python 3.12 and would not.
     """
     total = 0.0
     for value in values:
@@ -97,7 +84,7 @@ def _in_order_sum(values) -> float:
 
 
 @dataclass
-class _VectorSnapshot:
+class _Snapshot:
     """Per-node dynamics of one epoch, computed from the state arrays.
 
     All per-node columns are full-length (one entry per node, id order);
@@ -143,18 +130,17 @@ class _EngineBase:
         self.phase_seconds: dict[str, float] = {
             "arrivals": 0.0, "faults": 0.0, "oom": 0.0, "schedule": 0.0,
             "advance": 0.0}
-        # Vector-kernel completion tracking: apps that might have become
-        # complete since the last finalisation pass.  Fed by the bus (an
-        # executor finishing is the only way an app's remaining work can
-        # reach zero; submission covers degenerate already-complete
-        # inputs), so finalisation touches candidates instead of every
-        # application every epoch.
+        # Completion tracking: apps that might have become complete since
+        # the last finalisation pass.  Fed by the bus (an executor
+        # finishing is the only way an app's remaining work can reach
+        # zero; submission covers degenerate already-complete inputs), so
+        # finalisation touches candidates instead of every application
+        # every epoch.
         self._completion_candidates: set[str] = set()
         self._n_finished = 0
-        if sim.kernel == "vector":
-            sim.events.subscribe(self._on_completion_event,
-                                 kinds=(EventKind.EXECUTOR_FINISHED,
-                                        EventKind.APP_SUBMITTED))
+        sim.events.subscribe(self._on_completion_event,
+                             kinds=(EventKind.EXECUTOR_FINISHED,
+                                    EventKind.APP_SUBMITTED))
 
     def _on_completion_event(self, event) -> None:
         if event.app is not None:
@@ -286,47 +272,36 @@ class _EngineBase:
                 sim.oom_retry_gb[app_name] = pending_gb
 
     def finalize_completed_apps(self, now: float) -> None:
-        """Mark applications whose every gigabyte has been processed."""
+        """Mark applications whose every gigabyte has been processed.
+
+        Candidates are visited in submission order, so simultaneous
+        completions are recorded in the order the applications arrived.
+        """
         sim = self.sim
-        if sim.kernel == "vector":
-            candidates = self._completion_candidates
-            if not candidates:
-                return
-            index_of = sim.submission_index
-            for name in sorted(candidates, key=index_of.__getitem__):
-                app = sim.apps[name]
-                if app.state is ApplicationState.FINISHED:
-                    candidates.discard(name)
-                    continue
-                if sim.oom_retry_gb.get(name, 0.0) > 1e-9:
-                    # Blocked on the isolated re-run queue; stays a
-                    # candidate until the retry data drains.
-                    continue
-                if app.is_complete():
-                    app.mark_finished(now + sim.specs[name].startup_min)
-                    sim.events.record(app.finish_time, EventKind.APP_FINISHED,
-                                      app=name)
-                    self._n_finished += 1
-                candidates.discard(name)
+        candidates = self._completion_candidates
+        if not candidates:
             return
-        for app in sim.submission_order:
+        index_of = sim.submission_index
+        for name in sorted(candidates, key=index_of.__getitem__):
+            app = sim.apps[name]
             if app.state is ApplicationState.FINISHED:
+                candidates.discard(name)
                 continue
-            if sim.oom_retry_gb.get(app.name, 0.0) > 1e-9:
+            if sim.oom_retry_gb.get(name, 0.0) > 1e-9:
+                # Blocked on the isolated re-run queue; stays a
+                # candidate until the retry data drains.
                 continue
             if app.is_complete():
                 # Account for the fixed startup cost once, at completion;
                 # it is small relative to execution time.
-                app.mark_finished(now + sim.specs[app.name].startup_min)
+                app.mark_finished(now + sim.specs[name].startup_min)
                 sim.events.record(app.finish_time, EventKind.APP_FINISHED,
-                                  app=app.name)
+                                  app=name)
+                self._n_finished += 1
+            candidates.discard(name)
 
     def _all_finished(self) -> bool:
-        sim = self.sim
-        if sim.kernel == "vector":
-            return self._n_finished == len(sim.submission_order)
-        return all(app.state is ApplicationState.FINISHED
-                   for app in sim.submission_order)
+        return self._n_finished == len(self.sim.submission_order)
 
     def _resolve_node_oom(self, node, now: float, footprint_of):
         """Kill the most recently placed executors until the node fits.
@@ -348,7 +323,6 @@ class _EngineBase:
                 sim.oom_retry_gb.get(victim.app_name, 0.0) + lost
             )
             node.remove_executor(victim)
-            self._forget_executor(victim)
             sim.events.publish(ExecutorOOM(
                 time=now, app=victim.app_name, node_id=node.node_id,
                 lost_gb=lost, detail=f"returned={lost:.1f}GB"))
@@ -356,19 +330,16 @@ class _EngineBase:
             total_memory = _in_order_sum(footprint_of(e) for e in active)
         return active, total_memory
 
-    def _forget_executor(self, executor: Executor) -> None:
-        """Hook: an executor left the cluster (finished or killed)."""
-
     # ------------------------------------------------------------------
-    # Vectorized per-epoch dynamics (shared by both engines)
+    # Per-epoch dynamics over the state arrays (shared by both engines)
     # ------------------------------------------------------------------
-    def _vector_snapshot(self, fill_memo: bool = True) -> _VectorSnapshot:
+    def _snapshot(self) -> _Snapshot:
         """Compute every node's frozen dynamics from the state arrays.
 
         Per-node sums use ``np.bincount``, whose per-bin accumulation is
         sequential in input order — slot order, which equals each node's
         executor insertion order — so the sums are bit-for-bit what the
-        per-object path's :func:`_in_order_sum` computes.
+        per-node OOM paths' :func:`_in_order_sum` computes.
         """
         sim = self.sim
         state = sim.cluster.state
@@ -378,7 +349,7 @@ class _EngineBase:
         ex = state.execs_view()
         act = state.active_slots()
         node_of = ex["node_slot"][act]
-        if fill_memo and act.size:
+        if act.size:
             # Engine-owned memo columns: the benchmark's progress rate and
             # the ground-truth footprint of the currently assigned share.
             # NaN keys (never filled) compare unequal to everything, so a
@@ -411,14 +382,14 @@ class _EngineBase:
                 sim.interference.bandwidth_floor,
                 1.0 - sim.interference.bandwidth_alpha * (counts[multi] - 1))
         utilization = np.minimum(total_cpu, 1.0) * cpu_factor * 100.0
-        return _VectorSnapshot(
+        return _Snapshot(
             act=act, node_of=node_of, counts=counts,
             total_memory=total_memory, total_cpu=total_cpu,
             cpu_factor=cpu_factor, memory_factor=memory_factor,
             bandwidth_factor=bandwidth_factor, speed=nodes["speed"],
             paging=paging, utilization=utilization)
 
-    def _vector_samples(self, snap: _VectorSnapshot) -> SampleBatch:
+    def _samples(self, snap: _Snapshot) -> SampleBatch:
         """The per-node usage sample batch for one ``ClusterSample`` event.
 
         Column-oriented: hot subscribers read the arrays directly and
@@ -432,14 +403,14 @@ class _EngineBase:
                            np.minimum(snap.total_cpu, 1.0),
                            snap.utilization)
 
-    def _vector_oom_flags(self, snap: _VectorSnapshot) -> np.ndarray:
+    def _oom_flags(self, snap: _Snapshot) -> np.ndarray:
         """Node slots whose co-running footprints exhausted RAM + swap."""
         nodes = self.sim.cluster.state.nodes_view()
         flagged = ((snap.counts > 1)
                    & (snap.total_memory > nodes["ram_gb"] + nodes["swap_gb"]))
         return np.flatnonzero(flagged)
 
-    def _vector_footprint(self, executor: Executor) -> float:
+    def _footprint(self, executor: Executor) -> float:
         """Memoised ground-truth footprint, read from the state arrays."""
         state = self.sim.cluster.state
         return float(state._exec["footprint_gb"][executor._slot])
@@ -453,24 +424,19 @@ class FixedStepEngine(_EngineBase):
         return now + self.sim.time_step_min
 
     def _advance_executors(self, now: float) -> None:
-        if self.sim.kernel == "vector":
-            self._advance_executors_vector(now)
-        else:
-            self._advance_executors_object(now)
+        """One fixed step as array reductions, node-major event order.
 
-    def _advance_executors_vector(self, now: float) -> None:
-        """One fixed step as array reductions, legacy event order kept.
-
-        Steps on which some node exhausted RAM + swap fall back to the
-        per-object path: OOM resolution interleaves kill/paging/finish
-        events per node, and replaying that exact interleaving is worth
-        more than vectorizing the rare step that contains it.
+        Steps on which some node exhausted RAM + swap fall back to
+        :meth:`_advance_oom_step`: OOM resolution interleaves
+        kill/paging/finish events per node, and replaying that exact
+        interleaving is worth more than vectorizing the rare step that
+        contains it.
         """
         sim = self.sim
         state = sim.cluster.state
-        snap = self._vector_snapshot()
-        if self._vector_oom_flags(snap).size:
-            self._advance_executors_object(now)
+        snap = self._snapshot()
+        if self._oom_flags(snap).size:
+            self._advance_oom_step(now)
             return
         dt = sim.time_step_min
         ex = state.execs_view()
@@ -507,9 +473,14 @@ class FixedStepEngine(_EngineBase):
                     time=now + dt, app=executor.app_name,
                     node_id=node.node_id))
         sim.events.publish(ClusterSample(time=now, times=(now,),
-                                         samples=self._vector_samples(snap)))
+                                         samples=self._samples(snap)))
 
-    def _advance_executors_object(self, now: float) -> None:
+    def _advance_oom_step(self, now: float) -> None:
+        """One fixed step node by node, for steps with an OOM kill.
+
+        Each node resolves its kills, records paging and publishes its
+        finishes before the next node is visited.
+        """
         sim = self.sim
         dt = sim.time_step_min
         # One usage sample per node per step, published as a single batch
@@ -557,34 +528,6 @@ class FixedStepEngine(_EngineBase):
                                          samples=tuple(samples)))
 
 
-@dataclass
-class _NodeState:
-    """Frozen dynamics of one node between two consecutive events."""
-
-    node: object
-    active: list[Executor]
-    rates: list[float]         # GB/min of progress per active executor
-    total_memory_gb: float     # aggregate resident footprint (ground truth)
-    total_cpu: float           # aggregate CPU demand
-    utilization: float         # effective CPU utilisation, percent
-
-
-@dataclass
-class _ClusterState:
-    """Cluster-wide dynamics between two events, flattened for NumPy.
-
-    ``executors``/``nodes``/``rates`` are parallel, one entry per active
-    executor across the whole cluster, so progress and finish-time math is
-    a single vectorised expression instead of a per-executor Python loop.
-    """
-
-    per_node: list[_NodeState]
-    executors: list[Executor]
-    nodes: list[object]
-    rates: np.ndarray
-    remaining: np.ndarray
-
-
 class EventDrivenEngine(_EngineBase):
     """Jump simulated time directly to the next state-changing event.
 
@@ -607,16 +550,7 @@ class EventDrivenEngine(_EngineBase):
         if rescan_min <= 0:
             raise ValueError("rescan_min must be positive")
         self.rescan_min = rescan_min
-        # executor_id -> (assigned_gb, footprint_gb); footprints follow the
-        # assigned data, so the cache invalidates itself when a dispatcher
-        # grows an executor's share.  Executors lost to dynamic-cluster
-        # events (node failure, preemption) are dropped via the bus.
-        # (The vector kernel keeps this memo in the state arrays instead.)
-        self._footprints: dict[int, tuple[float, float]] = {}
         self._sample_idx = 0
-        sim.events.subscribe(self._on_executor_lost,
-                             kinds=(EventKind.EXECUTOR_KILLED,
-                                    EventKind.EXECUTOR_PREEMPTED))
 
     # ------------------------------------------------------------------
     # Epoch advancement
@@ -629,48 +563,25 @@ class EventDrivenEngine(_EngineBase):
         return now < self.sim.max_time_min - 1e-9
 
     def _advance_epoch(self, context, now: float) -> float | None:
-        if self.sim.kernel == "vector":
-            return self._advance_epoch_vector(context, now)
-        sim = self.sim
-        eps = 1e-9
-        self._kill_oom_victims(now)
-        state = self._cluster_state(now)
-        t_next = min(self._next_finish(now, state),
-                     self._next_arrival(now),
-                     self._next_profiling_ready(now),
-                     self._next_fault(now),
-                     self._scheduler_wake(now),
-                     self._rescan_tick(now),
-                     sim.max_time_min)
-        if not math.isfinite(t_next):
-            return None
-        if t_next <= now + eps:  # safety net; events are strictly future
-            t_next = now + sim.time_step_min
-        self._sample_idx = self._record_interval(now, t_next, state.per_node,
-                                                 self._sample_idx)
-        self._advance(state, t_next - now, t_next)
-        return t_next
-
-    def _advance_epoch_vector(self, context, now: float) -> float | None:
         """One event-driven epoch over the state arrays.
 
-        Same sequence as the per-object path — OOM kills, state build
-        (paging records), wake-point minimum, interval samples, progress
-        advancement with finish events in node-major order — with every
-        full scan replaced by a column reduction.
+        OOM kills right after the placement decisions (footprints only
+        change when node membership or an executor's data share does,
+        which happens exclusively inside scheduler invocations), paging
+        records, the wake-point minimum, interval samples, then progress
+        advancement with finish events in node-major order.
         """
         sim = self.sim
         state = sim.cluster.state
         eps = 1e-9
-        snap = self._vector_snapshot()
-        oom_nodes = self._vector_oom_flags(snap)
+        snap = self._snapshot()
+        oom_nodes = self._oom_flags(snap)
         if oom_nodes.size:
             for node_slot in oom_nodes.tolist():
                 self._resolve_node_oom(state.node_objs[node_slot], now,
-                                       self._vector_footprint)
-            snap = self._vector_snapshot()
-        # Paging transitions are recorded while building the state, per
-        # node in id order — exactly like the per-object state build.
+                                       self._footprint)
+            snap = self._snapshot()
+        # Paging transitions are recorded per node in id order.
         for node_slot in np.flatnonzero(snap.paging).tolist():
             sim.events.record(
                 now, EventKind.NODE_PAGING,
@@ -706,7 +617,7 @@ class EventDrivenEngine(_EngineBase):
         times, self._sample_idx = self._sample_times(t_next, self._sample_idx)
         if times:
             sim.events.publish(ClusterSample(time=now, times=tuple(times),
-                                             samples=self._vector_samples(snap)))
+                                             samples=self._samples(snap)))
         if act.size:
             delta = t_next - now
             assigned = ex["assigned_gb"][act]
@@ -715,8 +626,8 @@ class EventDrivenEngine(_EngineBase):
             ex["processed_gb"][act] = new_processed
             finished = np.flatnonzero((assigned - new_processed) <= 1e-9)
             if finished.size:
-                # Publish finishes in the legacy node-major order: stable
-                # sort by node keeps slot (= insertion) order within one.
+                # Publish finishes in node-major order: stable sort by
+                # node keeps slot (= insertion) order within one.
                 order = np.argsort(snap.node_of[finished], kind="stable")
                 fin_slots = act[finished]
                 fin_nodes = snap.node_of[finished]
@@ -748,13 +659,6 @@ class EventDrivenEngine(_EngineBase):
             aligned = (math.floor(now / dt + 1e-9) + 1) * dt
         return aligned
 
-    def _next_finish(self, now: float, state: _ClusterState) -> float:
-        """Earliest completion time of any running executor, grid-aligned."""
-        if not state.executors:
-            return math.inf
-        earliest = now + float(np.min(state.remaining / state.rates))
-        return self._align(earliest, now)
-
     def _next_arrival(self, now: float) -> float:
         """Earliest future job arrival, grid-aligned.
 
@@ -780,24 +684,18 @@ class EventDrivenEngine(_EngineBase):
     def _next_profiling_ready(self, now: float) -> float:
         """Earliest future profiling-window expiry of an unfinished app."""
         sim = self.sim
-        if sim.kernel == "vector":
-            # Lazy-deletion heap maintained at submission: entries whose
-            # expiry has passed (simulated time never rewinds within a
-            # run) or whose app finished are popped for good.
-            heap = sim.profiling_heap
-            while heap:
-                t, name = heap[0]
-                if (t <= now + 1e-9
-                        or sim.apps[name].state is ApplicationState.FINISHED):
-                    heapq.heappop(heap)
-                    continue
-                return self._align(t, now)
-            return math.inf
-        ready = min((t for name, t in sim.ready_time.items()
-                     if t > now + 1e-9
-                     and sim.apps[name].state is not ApplicationState.FINISHED),
-                    default=math.inf)
-        return self._align(ready, now)
+        # Lazy-deletion heap maintained at submission: entries whose
+        # expiry has passed (simulated time never rewinds within a run) or
+        # whose app finished are popped for good.
+        heap = sim.profiling_heap
+        while heap:
+            t, name = heap[0]
+            if (t <= now + 1e-9
+                    or sim.apps[name].state is ApplicationState.FINISHED):
+                heapq.heappop(heap)
+                continue
+            return self._align(t, now)
+        return math.inf
 
     def _scheduler_wake(self, now: float) -> float:
         """Next wake-up the scheduler itself asks for (e.g. search trials)."""
@@ -816,106 +714,18 @@ class EventDrivenEngine(_EngineBase):
         ``rescan_min`` while such work exists.
         """
         sim = self.sim
-        if sim.kernel == "vector":
-            # Column-mask form of the scalar scan below.  ``oom_retry_gb``
-            # holds only unfinished apps (finalisation is blocked while a
-            # re-run is pending and entries are dropped once drained), so
-            # the whole-dict check matches the per-app lookups, and
-            # ``any_waiting`` applies the identical ready/unassigned/
-            # finished comparisons over the APP_DTYPE columns.
-            if (any(gb > 1e-9 for gb in sim.oom_retry_gb.values())
-                    or sim.cluster.state.any_waiting(now)):
-                return self._align(now + self.rescan_min, now)
-            return math.inf
-        for app in sim.submission_order:
-            if app.state is ApplicationState.FINISHED:
-                continue
-            if sim.oom_retry_gb.get(app.name, 0.0) > 1e-9:
-                return self._align(now + self.rescan_min, now)
-            if (app.unassigned_gb > 1e-6
-                    and sim.ready_time[app.name] <= now + 1e-9):
-                return self._align(now + self.rescan_min, now)
+        # ``oom_retry_gb`` holds only unfinished apps (finalisation is
+        # blocked while a re-run is pending and entries are dropped once
+        # drained), and ``any_waiting`` applies the ready/unassigned/
+        # finished tests over the APP_DTYPE columns.
+        if (any(gb > 1e-9 for gb in sim.oom_retry_gb.values())
+                or sim.cluster.state.any_waiting(now)):
+            return self._align(now + self.rescan_min, now)
         return math.inf
 
     # ------------------------------------------------------------------
-    # Instantaneous failure resolution
+    # Uniform sample grid
     # ------------------------------------------------------------------
-    def _footprint(self, executor: Executor) -> float:
-        cached = self._footprints.get(executor.executor_id)
-        assigned = executor.cached_gb()
-        if cached is not None and cached[0] == assigned:
-            return cached[1]
-        footprint = self.sim.specs[executor.app_name].true_footprint_gb(assigned)
-        self._footprints[executor.executor_id] = (assigned, footprint)
-        return footprint
-
-    def _forget_executor(self, executor: Executor) -> None:
-        self._footprints.pop(executor.executor_id, None)
-
-    def _on_executor_lost(self, event) -> None:
-        """Bus subscriber: an executor was killed by a dynamic-cluster event."""
-        if event.executor_id is not None:
-            self._footprints.pop(event.executor_id, None)
-
-    def _kill_oom_victims(self, now: float) -> None:
-        """Resolve OOM kills right after placement decisions.
-
-        Footprints only change when node membership (or an executor's data
-        share) changes, which happens exclusively inside scheduler
-        invocations — so swap exhaustion is an instantaneous consequence of
-        placement, not something that develops between events.
-        """
-        for node in self.sim.cluster.nodes:
-            if len(node.active_executors()) <= 1:
-                continue
-            self._resolve_node_oom(node, now, self._footprint)
-
-    # ------------------------------------------------------------------
-    # Piecewise-constant dynamics
-    # ------------------------------------------------------------------
-    def _cluster_state(self, now: float) -> _ClusterState:
-        sim = self.sim
-        per_node: list[_NodeState] = []
-        flat_executors: list[Executor] = []
-        flat_nodes: list[object] = []
-        flat_rates: list[float] = []
-        for node in sim.cluster.nodes:
-            active = node.active_executors()
-            if not active:
-                per_node.append(_NodeState(node=node, active=[], rates=[],
-                                           total_memory_gb=0.0, total_cpu=0.0,
-                                           utilization=0.0))
-                continue
-            total_memory = _in_order_sum(self._footprint(e) for e in active)
-            total_cpu = node.reserved_cpu_load
-            cpu_factor = 1.0 if total_cpu <= 1.0 else 1.0 / total_cpu
-            paging = total_memory > node.ram_gb
-            if paging:
-                sim.events.record(now, EventKind.NODE_PAGING,
-                                  node_id=node.node_id,
-                                  detail=f"resident={total_memory:.1f}GB")
-            memory_factor = sim.interference.paging_slowdown if paging else 1.0
-            factor = (cpu_factor * memory_factor
-                      * sim.interference.bandwidth_factor(len(active))
-                      * node.speed_factor)
-            rates = [sim.specs[e.app_name].rate_gb_per_min * factor
-                     for e in active]
-            per_node.append(_NodeState(
-                node=node, active=active, rates=rates,
-                total_memory_gb=total_memory, total_cpu=total_cpu,
-                utilization=min(total_cpu, 1.0) * cpu_factor * 100.0,
-            ))
-            flat_executors.extend(active)
-            flat_nodes.extend([node] * len(active))
-            flat_rates.extend(rates)
-        n = len(flat_executors)
-        rates_arr = np.fromiter(flat_rates, dtype=float, count=n)
-        remaining = np.fromiter((e.remaining_gb for e in flat_executors),
-                                dtype=float, count=n)
-        return _ClusterState(per_node=per_node, executors=flat_executors,
-                             nodes=flat_nodes, rates=rates_arr,
-                             remaining=remaining)
-
     def _sample_times(self, t1: float, sample_idx: int) -> tuple[list, int]:
         """Uniform sample-grid points strictly before ``t1``."""
         dt = self.sim.time_step_min
@@ -926,47 +736,6 @@ class EventDrivenEngine(_EngineBase):
             sample_idx += 1
             t = sample_idx * dt
         return times, sample_idx
-
-    def _record_interval(self, t0: float, t1: float,
-                         states: list[_NodeState], sample_idx: int) -> int:
-        """Publish the uniform-grid usage samples covered by [t0, t1).
-
-        The node state is constant over the interval, so every grid point
-        it covers receives the same values — one :class:`ClusterSample`
-        batch reproduces exactly the samples the fixed-step engine would
-        have published step by step.
-        """
-        sim = self.sim
-        times, sample_idx = self._sample_times(t1, sample_idx)
-        if not times:
-            return sample_idx
-        samples = tuple(
-            (state.node.node_id, state.total_memory_gb,
-             min(state.total_cpu, 1.0), state.utilization)
-            for state in states
-        )
-        sim.events.publish(ClusterSample(time=t0, times=tuple(times),
-                                         samples=samples))
-        return sample_idx
-
-    def _advance(self, state: _ClusterState, delta_min: float,
-                 t_end: float) -> None:
-        sim = self.sim
-        if not state.executors:
-            return
-        progress = state.rates * delta_min
-        # Only executors whose remaining work is covered by this jump can
-        # finish; everyone else just has progress booked.
-        done_mask = progress >= state.remaining - 1e-9
-        for i, (executor, gained) in enumerate(zip(state.executors, progress)):
-            executor.advance(float(gained))
-            if done_mask[i] and executor.state is ExecutorState.FINISHED:
-                node = state.nodes[i]
-                node.remove_executor(executor)
-                self._forget_executor(executor)
-                sim.events.publish(ExecutorFinished(
-                    time=t_end, app=executor.app_name,
-                    node_id=node.node_id))
 
 
 def make_engine(step_mode: str, sim, **kwargs):

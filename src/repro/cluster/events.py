@@ -249,11 +249,11 @@ class SchedulerWake(Event):
 
 
 class SampleBatch:
-    """Column-oriented per-node usage rows (the vector kernel's payload).
+    """Column-oriented per-node usage rows (the engines' usual payload).
 
     Behaves exactly like the row-oriented
     ``((node_id, memory_gb, cpu_load, utilization_percent), ...)`` tuple
-    the object kernel publishes — iteration and indexing materialise the
+    the fixed engine's OOM step publishes — iteration and indexing materialise the
     rows lazily — but hot subscribers can read the ``node_ids`` /
     ``memory`` / ``cpu`` / ``util`` columns directly and skip the
     O(nodes) tuple fan-out per epoch entirely.  The float64 columns
@@ -295,8 +295,8 @@ class ClusterSample(Event):
     the event engine); ``samples`` holds one
     ``(node_id, memory_gb, cpu_load, utilization_percent)`` row per
     cluster node, constant across the interval — either a tuple of
-    tuples (object kernel) or an equivalent :class:`SampleBatch`
-    (vector kernel).  Subscribers — the resource monitor, the
+    tuples (the fixed engine's OOM step) or an equivalent
+    :class:`SampleBatch` (every other epoch).  Subscribers — the resource monitor, the
     utilisation trace recorder, streaming utilisation statistics — fan
     the batch out however they need.
     """

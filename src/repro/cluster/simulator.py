@@ -59,19 +59,12 @@ from repro.workloads.mixes import Job
 from repro.workloads.suites import benchmark_by_name
 
 __all__ = [
-    "KERNELS",
     "InterferenceModel",
     "NodeFeatures",
     "SchedulingContext",
     "SimulationResult",
     "ClusterSimulator",
 ]
-
-#: Kernels understood by :class:`ClusterSimulator`: "vector" reduces the
-#: per-epoch hot loops over the structured state arrays, "object" keeps
-#: the historical per-object Python loops (the bit-for-bit parity oracle).
-KERNELS: tuple[str, ...] = ("vector", "object")
-
 
 @dataclass(frozen=True)
 class InterferenceModel:
@@ -281,10 +274,10 @@ class NodeFeatures:
         """Node slots in stable descending-score order, NaN dropped.
 
         This is the ``score_batch`` visiting contract: ties keep slot
-        (= node id) order, matching the historical stable sorts, and the
-        relative order of the eligible subset of a stable sort equals
-        the stable sort of the eligible subset — which is why masking
-        ineligible nodes with NaN reproduces the scalar scan order.
+        (= node id) order, and the relative order of the eligible subset
+        of a stable sort equals the stable sort of the eligible subset —
+        which is why masking ineligible nodes with NaN visits exactly the
+        eligible nodes in score order.
         """
         order = np.argsort(-scores, kind="stable")
         return order[~np.isnan(scores[order])]
@@ -348,35 +341,19 @@ class SchedulingContext:
         extraction / calibration) are not returned, mirroring the paper's
         flow where profiling happens while the task waits to be scheduled.
         """
-        sim = self._sim
-        if sim.kernel == "vector":
-            # Column-mask scan over the submit-order app queue
-            # (ClusterState.APP_DTYPE): the ready/finished/unassigned
-            # comparisons are the same as the historical per-object loop,
-            # and ascending slot order is submission order (compaction
-            # preserves it), so the returned list is identical.
-            state = sim.cluster.state
-            app_objs = state.app_objs
-            return [app_objs[slot]
-                    for slot in state.waiting_app_slots(self.now).tolist()]
-        ready = []
-        for app in sim.submission_order:
-            if app.state is ApplicationState.FINISHED:
-                continue
-            if sim.ready_time[app.name] > self.now + 1e-9:
-                continue
-            if app.unassigned_gb > 1e-6:
-                ready.append(app)
-        return ready
+        # Column-mask scan over the submit-order app queue
+        # (ClusterState.APP_DTYPE); ascending slot order is submission
+        # order (compaction preserves it).
+        state = self._sim.cluster.state
+        app_objs = state.app_objs
+        return [app_objs[slot]
+                for slot in state.waiting_app_slots(self.now).tolist()]
 
-    def node_features(self) -> NodeFeatures | None:
+    def node_features(self) -> NodeFeatures:
         """Candidate-node feature columns for batched scheme scoring.
 
-        Returns ``None`` on the object kernel, which keeps every scheme
-        on its scalar scan — the parity oracle for the vectorized path.
-        On the vector kernel the snapshot is cached against the cluster
-        state's mutation version: repeated calls within one placement
-        pass are free.  The first call after a version move returns a
+        The snapshot is cached against the cluster state's mutation
+        version: repeated calls within one placement pass are free.  The first call after a version move returns a
         new snapshot and never mutates one already handed out.  When the
         only moves were spawns through this context, the new snapshot
         patches just the nodes they touched (:meth:`NodeFeatures.with_spawns`);
@@ -384,8 +361,6 @@ class SchedulingContext:
         column.
         """
         sim = self._sim
-        if sim.kernel != "vector":
-            return None
         cached = self._features
         version = sim.cluster.state.version
         if cached is not None and cached.version == version:
@@ -496,8 +471,7 @@ class ClusterSimulator:
                  seed: int | None = 0,
                  step_mode: str = "event",
                  rescan_min: float | None = None,
-                 faults: FaultSpec | None = None,
-                 kernel: str = "vector") -> None:
+                 faults: FaultSpec | None = None) -> None:
         if time_step_min <= 0:
             raise ValueError("time_step_min must be positive")
         if max_time_min <= 0:
@@ -505,15 +479,7 @@ class ClusterSimulator:
         if step_mode not in STEP_MODES:
             raise ValueError(f"step_mode must be one of {STEP_MODES}, "
                              f"got {step_mode!r}")
-        if kernel not in KERNELS:
-            raise ValueError(f"kernel must be one of {KERNELS}, "
-                             f"got {kernel!r}")
         self.step_mode = step_mode
-        # How the engines run their per-epoch hot loops: "vector" (the
-        # default) reduces over the cluster's structured arrays, "object"
-        # keeps the historical per-object Python loops.  Both publish
-        # identical event streams (golden-trace pinned).
-        self.kernel = kernel
         self.rescan_min = rescan_min
         self.cluster = cluster
         self.scheduler = scheduler
@@ -540,7 +506,7 @@ class ClusterSimulator:
         self.ready_time: dict[str, float] = {}
         self.submission_order: list[SparkApplication] = []
         #: Submission index by app name (finalisation order for the
-        #: vector kernel's candidate-driven completion pass).
+        #: engines' candidate-driven completion pass).
         self.submission_index: dict[str, int] = {}
         # The pending-arrival queue and the submitted-app queue are owned
         # by the cluster's structured-array state (ClusterState): jobs are
@@ -685,10 +651,7 @@ class ClusterSimulator:
             self.events.unsubscribe(self._streaming._on_sample)
         if self.fault_controller is not None:
             self.events.unsubscribe(self.fault_controller.stats.on_event)
-        lost_hook = getattr(self.engine, "_on_executor_lost", None)
-        if lost_hook is not None:
-            self.events.unsubscribe(lost_hook)
-        if self.kernel == "vector" and self.engine is not None:
+        if self.engine is not None:
             self.events.unsubscribe(self.engine._on_completion_event)
 
     def finish(self, now: float) -> SimulationResult:

@@ -71,8 +71,7 @@ EXEC_DTYPE = np.dtype([
 #: written once at submission (profiling-window expiry); ``unassigned_gb``
 #: and ``finished`` are dual-written by the SparkApplication mutators
 #: (``take_unassigned``/``return_unassigned``/``mark_finished``), so the
-#: waiting-queue scans of the vector kernel are column masks instead of
-#: per-object loops.
+#: waiting-queue scans are column masks instead of per-object loops.
 APP_DTYPE = np.dtype([
     ("ready_time", np.float64),
     ("unassigned_gb", np.float64),

@@ -118,10 +118,6 @@ class SchedulingEnv:
         Simulation step mode (``"event"`` default, or ``"fixed"``).
         Both pause at the same grid-aligned wake-points; the event
         engine simply skips the epochs at which nothing can change.
-    kernel:
-        Per-epoch hot-loop mode, ``"vector"`` (default) or ``"object"``
-        — the scalar parity oracle.  Trajectories are bit-for-bit
-        identical either way.
     reward:
         One of :data:`REWARD_KINDS` (default ``"stp_delta"``).
     time_step_min:
@@ -154,7 +150,7 @@ class SchedulingEnv:
     """
 
     def __init__(self, scenario, *, engine: str = "event",
-                 kernel: str = "vector", reward: str = "stp_delta",
+                 reward: str = "stp_delta",
                  time_step_min: float = 0.5, obs_mode: str = "dataclass",
                  record_utilization: bool = True) -> None:
         self._spec = load_scenario(scenario)
@@ -165,7 +161,6 @@ class SchedulingEnv:
             raise ValueError(f"unknown obs_mode {obs_mode!r}; expected one "
                              f"of {OBS_MODES}")
         self.engine = engine
-        self.kernel = kernel
         self.reward_kind = reward
         self.time_step_min = time_step_min
         self.obs_mode = obs_mode
@@ -212,7 +207,7 @@ class SchedulingEnv:
         jobs = spec.make_mixes(n_mixes=1, seed=seed)[0]
         sim = ClusterSimulator(cluster, scheduler,
                                time_step_min=self.time_step_min, seed=seed,
-                               step_mode=self.engine, kernel=self.kernel,
+                               step_mode=self.engine,
                                max_time_min=spec.max_time_min,
                                faults=spec.faults,
                                record_utilization=self.record_utilization)

@@ -139,7 +139,7 @@ class EpisodeResult:
 
 
 def rollout(scenario, policy: Policy, *, seed: int = 11,
-            engine: str = "event", kernel: str = "vector",
+            engine: str = "event",
             reward: str = "stp_delta", time_step_min: float = 0.5,
             max_steps: int | None = None,
             record_rewards: bool = False,
@@ -160,7 +160,7 @@ def rollout(scenario, policy: Policy, *, seed: int = 11,
     bit-identical to the defaults; only the episode's utilization metric
     switches to the streaming reduction).
     """
-    env = SchedulingEnv(scenario, engine=engine, kernel=kernel,
+    env = SchedulingEnv(scenario, engine=engine,
                         reward=reward, time_step_min=time_step_min,
                         obs_mode=obs_mode,
                         record_utilization=record_utilization)

@@ -31,7 +31,6 @@ from repro.env.train.features import (
     EpochSnapshot,
     FeatureConfig,
     candidate_features,
-    snapshot_from_context,
     snapshot_from_observation,
     snapshot_from_state,
 )
@@ -66,8 +65,7 @@ __all__ = [
     # featurizer
     "FeatureConfig", "FEATURE_NAMES", "N_FEATURES", "EpochSnapshot",
     "candidate_features", "CandidateRowCache",
-    "snapshot_from_observation", "snapshot_from_context",
-    "snapshot_from_state",
+    "snapshot_from_observation", "snapshot_from_state",
     # model
     "PolicyNetwork", "CHECKPOINT_FORMAT",
     # learner

@@ -9,9 +9,9 @@ module is that single source of truth:
 * :class:`EpochSnapshot` — the decision-relevant state at one scheduler
   wake-point, buildable from a typed :class:`repro.env.Observation`
   (:func:`snapshot_from_observation`) or straight from the live
-  :class:`~repro.cluster.simulator.SchedulingContext`
-  (:func:`snapshot_from_context`).  Both read the same reservation-side
-  accessors, so the two paths yield bit-identical arrays for the same
+  :class:`~repro.cluster.simulator.SchedulingContext`'s state columns
+  (:func:`snapshot_from_state`).  Both read the same reservation-side
+  numbers, so the two paths yield bit-identical arrays for the same
   simulation state.
 * :func:`candidate_features` — the fixed-width feature matrix over this
   decision's *candidates*: one ``skip`` row plus one row per (live node,
@@ -19,7 +19,7 @@ module is that single source of truth:
   candidates are never materialised — the same convention as
   ``score_batch``'s NaN mask, applied at row-construction time.
 
-Two rules keep the learned scheme equal across engines and kernels:
+Two rules keep the learned scheme equal across engines:
 
 1. **Reservation-side only.**  Features read the scheduler's own
    bookkeeping (reserved memory/CPU), never the resource monitor's
@@ -38,8 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = ["FeatureConfig", "FEATURE_NAMES", "N_FEATURES", "JobCand",
-           "EpochSnapshot", "snapshot_from_observation",
-           "snapshot_from_context", "snapshot_from_state",
+           "EpochSnapshot", "snapshot_from_observation", "snapshot_from_state",
            "candidate_features", "CandidateRowCache"]
 
 #: Column names of the candidate feature matrix, in order.  The first
@@ -181,58 +180,23 @@ def snapshot_from_observation(observation, allocation_policy) -> EpochSnapshot:
     )
 
 
-def snapshot_from_context(ctx, allocation_policy) -> EpochSnapshot:
-    """Build the snapshot from the live scheduling context (native path).
-
-    Iterates ``ctx.waiting_apps()`` (submission order — the order
-    :attr:`~repro.env.Observation.ready_jobs` preserves) and the cluster
-    node list, reading only reservation-side state, so the arrays equal
-    :func:`snapshot_from_observation`'s for the same paused simulation
-    on either kernel.
-    """
-    jobs = []
-    for app in ctx.waiting_apps():
-        spec = ctx.spec_of(app)
-        jobs.append(JobCand(name=app.name, input_gb=app.input_gb,
-                            unassigned_gb=app.unassigned_gb,
-                            cpu_load=spec.cpu_load,
-                            active=len(app.active_executors),
-                            desired=allocation_policy.desired_executors(
-                                app.input_gb)))
-    up = [n for n in ctx.cluster.nodes if n.is_up]
-    return EpochSnapshot(
-        jobs=jobs,
-        node_ids=np.array([n.node_id for n in up], dtype=np.int64),
-        ram_gb=np.array([n.ram_gb for n in up], dtype=np.float64),
-        free_gb=np.array([n.free_reserved_memory_gb for n in up],
-                         dtype=np.float64),
-        cpu_free=np.array([1.0 - n.reserved_cpu_load for n in up],
-                          dtype=np.float64),
-        execs=np.array([len(n.active_executors()) for n in up],
-                       dtype=np.int64),
-        speed=np.array([n.speed_factor for n in up], dtype=np.float64),
-    )
-
-
 def snapshot_from_state(ctx, allocation_policy) -> EpochSnapshot:
-    """Build the snapshot straight from the kernel's state columns.
+    """Build the snapshot straight from the simulator's state columns.
 
-    The fast-path constructor behind ``obs_mode="features"``: on the
-    vector kernel the node arrays are gathered from the cached
+    The native scheme's constructor and the fast path behind
+    ``obs_mode="features"``: iterates ``ctx.waiting_apps()`` (submission
+    order — the order :attr:`~repro.env.Observation.ready_jobs`
+    preserves) and gathers the node arrays from the cached
     :class:`~repro.cluster.simulator.NodeFeatures` epoch snapshot (one
-    boolean-mask gather per column) instead of one Python attribute
-    read per node.  Every gathered column is written by
+    boolean-mask gather per column).  Every gathered column is written by
     ``ClusterState.refresh_dirty`` from the same cached scalars the
     :class:`~repro.cluster.node.Node` properties return, and the two
     derived columns use the same elementwise float64 expressions
     (``max(ram - reserved, 0)``, ``1 - reserved_cpu``), so the arrays
-    are bit-identical to :func:`snapshot_from_context`'s — the property
-    tests pin it.  On the object kernel (no column mirror) this falls
-    back to the per-object walk.
+    equal :func:`snapshot_from_observation`'s for the same paused
+    simulation — the property tests pin it.
     """
     features = ctx.node_features()
-    if features is None:
-        return snapshot_from_context(ctx, allocation_policy)
     jobs = []
     for app in ctx.waiting_apps():
         spec = ctx.spec_of(app)

@@ -85,7 +85,6 @@ class TrainConfig:
     grad_clip: float = 10.0
     reward: str = "stp_delta"
     engine: str = "event"
-    kernel: str = "vector"
     episode_seeds: tuple[int, ...] | None = None
     eval_seed: int | None = None
     eval_every: int = 5
@@ -138,7 +137,6 @@ class TrainConfig:
             "grad_clip": self.grad_clip,
             "reward": self.reward,
             "engine": self.engine,
-            "kernel": self.kernel,
             "episode_seeds": (None if self.episode_seeds is None
                               else list(self.episode_seeds)),
             "eval_seed": self.eval_seed,
@@ -157,9 +155,12 @@ class TrainConfig:
         ``update_mode="rows"`` — the semantics their runs actually had —
         so re-deriving a historical checkpoint from its recorded config
         reproduces the same bytes.  (``obs_mode`` needs no such pin:
-        both observation paths are bit-identical.)
+        both observation paths are bit-identical.)  A recorded
+        ``kernel`` is dropped: the option is gone, and both of its
+        values ran bit-identical trajectories.
         """
         kwargs = dict(payload)
+        kwargs.pop("kernel", None)
         kwargs["hidden"] = tuple(kwargs["hidden"])
         if kwargs.get("episode_seeds") is not None:
             kwargs["episode_seeds"] = tuple(kwargs["episode_seeds"])
@@ -522,7 +523,6 @@ class ReinforceLearner:
                          seed=(self.config.resolved_eval_seed()
                                if seed is None else seed),
                          engine=self.config.engine,
-                         kernel=self.config.kernel,
                          reward=self.config.reward,
                          max_steps=self.config.max_steps,
                          obs_mode=self.config.obs_mode,
@@ -551,7 +551,7 @@ class ReinforceLearner:
         best_params: tuple[list[np.ndarray], list[np.ndarray]] | None = None
         final_eval = -np.inf
         with EpisodeCollector(self.spec, reward=config.reward,
-                              engine=config.engine, kernel=config.kernel,
+                              engine=config.engine,
                               max_steps=config.max_steps,
                               workers=config.workers,
                               obs_mode=config.obs_mode) as collector:

@@ -78,7 +78,6 @@ class Trajectory:
 
 def collect_episode(scenario, model: PolicyNetwork, spec: EpisodeSpec, *,
                     reward: str = "stp_delta", engine: str = "event",
-                    kernel: str = "vector",
                     max_steps: int | None = 20000,
                     obs_mode: str = "features") -> Trajectory:
     """Sample one full episode and package it for the learner.
@@ -91,7 +90,7 @@ def collect_episode(scenario, model: PolicyNetwork, spec: EpisodeSpec, *,
         model=model, record_trace=True,
         sample_rng=np.random.default_rng(spec.sample_seed))
     result = rollout(scenario, policy, seed=spec.episode_seed,
-                     engine=engine, kernel=kernel, reward=reward,
+                     engine=engine, reward=reward,
                      max_steps=max_steps, record_rewards=True,
                      obs_mode=obs_mode,
                      record_utilization=(obs_mode != "features"))
@@ -111,19 +110,17 @@ def collect_episode(scenario, model: PolicyNetwork, spec: EpisodeSpec, *,
 _WORKER_STATE: dict = {}
 
 
-def _init_worker(scenario, reward: str, engine: str, kernel: str,
+def _init_worker(scenario, reward: str, engine: str,
                  max_steps: int | None, obs_mode: str,
                  model_blob: bytes) -> None:
-    _WORKER_STATE["args"] = (scenario, reward, engine, kernel, max_steps,
-                             obs_mode)
+    _WORKER_STATE["args"] = (scenario, reward, engine, max_steps, obs_mode)
     _WORKER_STATE["model"] = pickle.loads(model_blob)
 
 
 def _worker_episode(spec: EpisodeSpec) -> Trajectory:
-    scenario, reward, engine, kernel, max_steps, obs_mode = (
-        _WORKER_STATE["args"])
+    scenario, reward, engine, max_steps, obs_mode = _WORKER_STATE["args"]
     return collect_episode(scenario, _WORKER_STATE["model"], spec,
-                           reward=reward, engine=engine, kernel=kernel,
+                           reward=reward, engine=engine,
                            max_steps=max_steps, obs_mode=obs_mode)
 
 
@@ -140,13 +137,12 @@ class EpisodeCollector:
     """
 
     def __init__(self, scenario, *, reward: str = "stp_delta",
-                 engine: str = "event", kernel: str = "vector",
+                 engine: str = "event",
                  max_steps: int | None = 20000, workers: int = 1,
                  obs_mode: str = "features") -> None:
         self.scenario = scenario
         self.reward = reward
         self.engine = engine
-        self.kernel = kernel
         self.max_steps = max_steps
         self.workers = max(1, int(workers))
         self.obs_mode = obs_mode
@@ -161,7 +157,7 @@ class EpisodeCollector:
             self._pool = ProcessPoolExecutor(
                 max_workers=self.workers, initializer=_init_worker,
                 initargs=(self.scenario, self.reward, self.engine,
-                          self.kernel, self.max_steps, self.obs_mode, blob))
+                          self.max_steps, self.obs_mode, blob))
             self._armed_blob = blob
         return self._pool
 
@@ -171,7 +167,6 @@ class EpisodeCollector:
         if self.workers == 1:
             return [collect_episode(self.scenario, model, spec,
                                     reward=self.reward, engine=self.engine,
-                                    kernel=self.kernel,
                                     max_steps=self.max_steps,
                                     obs_mode=self.obs_mode)
                     for spec in specs]

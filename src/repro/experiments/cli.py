@@ -44,7 +44,6 @@ from repro.api import (
 )
 from repro.cluster.engine import STEP_MODES
 from repro.cluster.faults import FAULT_PROFILES, load_fault_spec
-from repro.cluster.simulator import KERNELS
 from repro.experiments import (
     fig3_memory_curves,
     fig4_pca,
@@ -271,7 +270,7 @@ def _run_env_rollout(args) -> int:
         try:
             episode = session.rollout(spec, policy=args.policy,
                                       seed=args.seed, engine=args.engine,
-                                      kernel=args.kernel, reward=args.reward,
+                                      reward=args.reward,
                                       obs_mode=args.obs_mode or "dataclass")
         except UnknownPolicy as error:
             print(f"cannot resolve policy {args.policy!r}: {error}",
@@ -315,8 +314,7 @@ def _run_env_train(args) -> int:
                              episodes_per_iter=args.episodes_per_iter,
                              seed=args.seed, eval_seed=args.eval_seed,
                              reward=args.reward,
-                             engine=args.engine, kernel=args.kernel,
-                             workers=args.workers,
+                             engine=args.engine, workers=args.workers,
                              obs_mode=args.obs_mode or "features",
                              update_mode=args.update_mode)
     except ValueError as error:
@@ -359,8 +357,7 @@ def _run_scenario_mode(args) -> int:
     try:
         plan = ExperimentPlan(schemes=schemes, scenarios=(spec,),
                               n_mixes=args.n_mixes, seed=args.seed,
-                              engine=args.engine, kernel=args.kernel,
-                              workers=args.workers)
+                              engine=args.engine, workers=args.workers)
     except (PlanError, UnknownSchemeError) as error:
         print(str(error), file=sys.stderr)
         return 2
@@ -488,13 +485,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="simulation engine: 'event' jumps between "
                              "state changes, 'fixed' advances in constant "
                              "steps (default: event)")
-    parser.add_argument("--kernel", choices=list(KERNELS), default="vector",
-                        help="per-epoch hot-loop mode for --scenario and "
-                             "env-rollout: 'vector' reduces over the "
-                             "structured state arrays, 'object' runs the "
-                             "per-object scalar parity oracle — "
-                             "trajectories are bit-for-bit identical "
-                             "(default: vector)")
     parser.add_argument("--workers", type=int, default=1, metavar="N",
                         help="worker processes for the scenario-grid "
                              "experiments fig6/fig9/fig10 and --scenario "

@@ -33,8 +33,8 @@ Every policy here was audited for homogeneous-cluster assumptions when the
 scenario subsystem introduced mixed topologies
 (:mod:`repro.cluster.topologies`).  All capacity decisions resolve against
 the *individual* node — ``Node.can_host`` admission, free-reserved-memory
-scans (``Cluster.nodes_by_free_memory`` sorts by per-node headroom, so the
-early ``break`` on the sorted scan remains valid with mixed RAM sizes),
+ranking (``NodeFeatures.free_gb`` is per-node headroom, so the minimum-free
+mask remains valid with mixed RAM sizes),
 Pairwise's first-executor heap (a fraction of *that* node's RAM), the
 isolated baseline's whole-node reservations, and the OOM re-run sizing
 (``data_for_budget_gb`` against the chosen idle node's RAM).  The one

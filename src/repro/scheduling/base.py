@@ -66,13 +66,11 @@ class Scheduler(ABC):
         Returns a float array aligned with the ``features`` rows (node
         slots): higher is better, ``NaN`` marks a node this policy would
         never use for ``app`` right now.  Callers visit candidates in
-        stable descending-score order (``features.ranked(scores)``), so
-        an implementation reproduces its scalar scan exactly when the
-        score is the scan's sort key and the NaN mask is the scan's
-        skip set — the scalar path remains the parity oracle either way.
+        stable descending-score order (``features.ranked(scores)``):
+        ties keep node-id order.
 
-        The default returns ``None``: no vectorized scoring, callers
-        fall back to the scalar scan (plugins need not implement this).
+        The default returns ``None``: the scheme does not rank nodes
+        through this hook (plugins need not implement it).
         """
         return None
 

@@ -88,13 +88,8 @@ class MemoryAwareCoLocationScheduler(Scheduler):
         return self.charge_profiling(app, cost)
 
     def schedule(self, ctx: SchedulingContext) -> None:
-        features = ctx.node_features()
-        if features is None:
-            waiting = ctx.waiting_apps()
-            self._round_robin(waiting, lambda k: self._schedule_app(
-                ctx, waiting[k], max_new_executors=1))
-            return
-        ranking = _Ranking(features, ctx.cluster.state, self.min_free_gb)
+        ranking = _Ranking(ctx.node_features(), ctx.cluster.state,
+                           self.min_free_gb)
         if not ranking.entries:
             # No live node clears the minimum-free bar, so no offer could
             # spawn anything; offers are side-effect-free in that case,
@@ -195,15 +190,16 @@ class MemoryAwareCoLocationScheduler(Scheduler):
                        ranking: "_Ranking") -> int:
         """Offer ``waiting[k]`` one executor; keep its tallies exact.
 
-        The vector-kernel form of ``_schedule_app(..., max_new_executors=1)``:
-        the same target, sizing and visiting order, with the in-flight
-        data and active count read from the tallies and the nodes from
-        the pass's ``ranking``.  Nothing changes before the one spawn, so
-        the share is constant over the walk.
+        The in-flight data and active count are read from the tallies and
+        the nodes from the pass's ``ranking``.  Nothing changes before the
+        one spawn, so the share is constant over the walk.
         """
         app = waiting[k]
         # The executor target follows the *remaining* data (in-flight plus
-        # unassigned), as in the scalar scan below.
+        # unassigned), the way Spark's dynamic allocation follows the
+        # number of pending tasks; this also keeps the final sliver of an
+        # application from being split across dozens of near-empty
+        # executors.
         desired = self.allocation_policy.desired_executors(
             max(app.unassigned_gb + in_flight[k], 1e-3))
         if active[k] >= desired or app.unassigned_gb <= 1e-6:
@@ -232,55 +228,16 @@ class MemoryAwareCoLocationScheduler(Scheduler):
                 return 1
         return 0
 
-    def _schedule_app(self, ctx: SchedulingContext, app: SparkApplication,
-                      max_new_executors: int | None = None) -> int:
-        # The executor target follows the *remaining* data (in-flight plus
-        # unassigned), the way Spark's dynamic allocation follows the number
-        # of pending tasks; this also prevents the final sliver of an
-        # application from being split across dozens of near-empty executors.
-        desired = self.allocation_policy.desired_executors(
-            max(app.remaining_gb, 1e-3)
-        )
-        active = len(app.active_executors)
-        if active >= desired:
-            return 0
-        cpu_load = self.estimator.cpu_load(app.name)
-        spawned = 0
-        for node in ctx.cluster.nodes_by_free_memory():
-            if active >= desired or app.unassigned_gb <= 1e-6:
-                break
-            if max_new_executors is not None and spawned >= max_new_executors:
-                break
-            free_gb = node.free_reserved_memory_gb
-            if free_gb < self.min_free_gb:
-                # Nodes are sorted by free memory, so no later node fits.
-                break
-            if node.reserved_cpu_load + cpu_load > 1.0 + 1e-9:
-                continue
-            share = app.unassigned_gb / max(desired - active, 1)
-            budget, data = self._size_executor(app.name, share, free_gb)
-            # Never starve an application's final sliver of data: the
-            # minimum-chunk rule only applies while larger chunks remain.
-            if data < min(self.min_data_gb, app.unassigned_gb - 1e-9):
-                continue
-            executor = ctx.spawn_executor(app, node.node_id, budget, data)
-            if executor is not None:
-                active += 1
-                spawned += 1
-        return spawned
-
     def score_batch(self, ctx: SchedulingContext, app: SparkApplication,
                     features: NodeFeatures) -> np.ndarray:
         """Free memory as the score, NaN where the admission rules fail.
 
-        The scheme's declared rule: the vector-kernel pass walks this
-        order from its per-call ``_Ranking`` instead of scoring per offer.
+        The scheme's declared rule: :meth:`schedule` walks this order from
+        its per-call ``_Ranking`` instead of scoring per offer.
 
-        The NaN mask is the scalar scan's skip set: down nodes, nodes
-        under ``min_free_gb`` (the scalar loop breaks there — on a
-        descending free-memory scan every later node fails too, so the
-        mask removes exactly the broken-out suffix), and nodes whose
-        aggregate CPU would exceed 100 % with this application added.
+        The NaN mask drops down nodes, nodes under ``min_free_gb``, and
+        nodes whose aggregate CPU would exceed 100 % with this
+        application added.
         """
         cpu_load = self.estimator.cpu_load(app.name)
         eligible = (features.up

@@ -38,42 +38,29 @@ class IsolatedScheduler(Scheduler):
         desired = self.allocation_policy.desired_executors(app.input_gb)
         active = len(app.active_executors)
         features = ctx.node_features()
-        if features is not None:
-            scores = self.score_batch(ctx, app, features)
-            if scores is not None:
-                # Spawns only touch the spawned (previously idle) node,
-                # never one the scan will revisit, so the snapshot's
-                # candidate set stays valid through the whole pass.
-                for slot in features.ranked(scores).tolist():
-                    if active >= desired or app.unassigned_gb <= 1e-6:
-                        break
-                    share = app.unassigned_gb / max(desired - active, 1)
-                    executor = ctx.spawn_executor(
-                        app, int(features.node_ids[slot]),
-                        float(features.ram_gb[slot]), share)
-                    if executor is not None:
-                        active += 1
-                return
-        # Scan only live nodes: after a failure the policy must not try
-        # to place executors on a machine that is no longer there.
-        for node in ctx.cluster.up_nodes():
+        scores = self.score_batch(ctx, app, features)
+        # Spawns only touch the spawned (previously idle) node, never one
+        # the scan will revisit, so the snapshot's candidate set stays
+        # valid through the whole pass.
+        for slot in features.ranked(scores).tolist():
             if active >= desired or app.unassigned_gb <= 1e-6:
                 break
-            if node.active_executors():
-                continue
             share = app.unassigned_gb / max(desired - active, 1)
-            # The application owns the node outright: reserve all of its RAM.
-            executor = ctx.spawn_executor(app, node.node_id, node.ram_gb, share)
+            # The application owns the node outright: reserve all its RAM.
+            executor = ctx.spawn_executor(
+                app, int(features.node_ids[slot]),
+                float(features.ram_gb[slot]), share)
             if executor is not None:
                 active += 1
 
     def score_batch(self, ctx: SchedulingContext, app: SparkApplication,
                     features: NodeFeatures) -> np.ndarray:
-        """Rank idle live nodes in id order (the scalar scan's order).
+        """Rank idle live nodes in id order.
 
         Isolation has no memory-based preference — the head application
         takes whole idle machines front to back — so the score is the
-        negated node slot and the NaN mask drops down or busy nodes.
+        negated node slot and the NaN mask drops down or busy nodes (after
+        a failure the policy must not place on a machine that is gone).
         """
         eligible = features.up & (features.n_active == 0)
         slots = np.arange(features.up.shape[0], dtype=np.float64)

@@ -95,31 +95,14 @@ class OnlineSearchScheduler(Scheduler):
         if active >= desired:
             return
         features = ctx.node_features()
-        if features is not None:
-            scores = self.score_batch(ctx, app, features)
-            if scores is not None:
-                # At most one spawn per application per call, so the
-                # snapshot stays valid through the scan (the scalar loop
-                # returns right after its one successful spawn too).
-                for slot in features.ranked(scores).tolist():
-                    if app.unassigned_gb <= 1e-6:
-                        return
-                    free_gb = float(features.free_gb[slot])
-                    if self._try_spawn(ctx, app, int(features.node_ids[slot]),
-                                       free_gb, desired, active):
-                        return
-                return
-        cpu_load = self._measure.cpu_load(app.name)
-        for node in ctx.cluster.nodes_by_free_memory():
+        scores = self.score_batch(ctx, app, features)
+        # At most one spawn per application per call, so the snapshot
+        # stays valid through the scan.
+        for slot in features.ranked(scores).tolist():
             if app.unassigned_gb <= 1e-6:
                 return
-            free_gb = node.free_reserved_memory_gb
-            if free_gb < 1.0:
-                # Nodes are sorted by free memory, so no later node fits.
-                break
-            if node.reserved_cpu_load + cpu_load > 1.0 + 1e-9:
-                continue
-            if self._try_spawn(ctx, app, node.node_id, free_gb, desired,
+            if self._try_spawn(ctx, app, int(features.node_ids[slot]),
+                               float(features.free_gb[slot]), desired,
                                active):
                 return
 
@@ -150,10 +133,9 @@ class OnlineSearchScheduler(Scheduler):
                     features: NodeFeatures) -> np.ndarray:
         """Free memory as the score, NaN where a trial cannot run.
 
-        The mask mirrors the scalar scan: down nodes, nodes with less
-        than 1 GB free (where the descending scan breaks — every later
-        node fails too), and nodes whose aggregate CPU would exceed
-        100 % with this application's executor added.
+        The mask drops down nodes, nodes with less than 1 GB free, and
+        nodes whose aggregate CPU would exceed 100 % with this
+        application's executor added.
         """
         cpu_load = self._measure.cpu_load(app.name)
         eligible = (features.up

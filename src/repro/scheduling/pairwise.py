@@ -43,14 +43,11 @@ class PairwiseScheduler(Scheduler):
 
     def schedule(self, ctx: SchedulingContext) -> None:
         features = ctx.node_features()
-        if features is None:
-            self.schedule_scalar(ctx)
-            return
         if not self._usable_mask(features).any():
             # No node can take an executor for *any* application (two
-            # co-runners everywhere, or unusable budgets): the scalar
-            # scan below would be a side-effect-free global no-op, so
-            # skip walking the waiting queue entirely.
+            # co-runners everywhere, or unusable budgets): every offer
+            # would be a side-effect-free no-op, so skip walking the
+            # waiting queue entirely.
             return
         for app in ctx.waiting_apps():
             desired = self.allocation_policy.desired_executors(app.input_gb)
@@ -59,15 +56,11 @@ class PairwiseScheduler(Scheduler):
                 continue
             fresh = ctx.node_features()
             if fresh is not features:
-                # An earlier app spawned: re-snapshot (the scalar scan
-                # re-sorts nodes per app for the same reason).
+                # An earlier app spawned: re-rank on the new snapshot.
                 features = fresh
                 if not self._usable_mask(features).any():
                     return
             scores = self.score_batch(ctx, app, features)
-            if scores is None:
-                self._schedule_app_scalar(ctx, app, desired, active)
-                continue
             for slot in features.ranked(scores).tolist():
                 if active >= desired or app.unassigned_gb <= 1e-6:
                     break
@@ -90,10 +83,10 @@ class PairwiseScheduler(Scheduler):
                     features: NodeFeatures) -> np.ndarray:
         """Free memory as the score, NaN where Pairwise may not place.
 
-        Eligibility mirrors the scalar scan's skip set: the node is up,
-        hosts fewer than two applications, does not already run ``app``,
-        and the (occupancy-dependent) heap budget is at least 1 GB; the
-        free-memory score with stable ties reproduces
+        A node is eligible when it is up, hosts fewer than two
+        applications, does not already run ``app``, and the
+        (occupancy-dependent) heap budget is at least 1 GB; the
+        free-memory score with stable ties visits nodes in
         ``nodes_by_free_memory`` order.
         """
         eligible = self._usable_mask(features) & ~features.hosts_app(app)
@@ -104,40 +97,3 @@ class PairwiseScheduler(Scheduler):
         budget = np.where(features.n_apps > 0, features.free_gb,
                           features.ram_gb * self.default_heap_fraction)
         return features.up & (features.n_apps < 2) & (budget >= 1.0)
-
-    # ------------------------------------------------------------------
-    # Scalar parity oracle (the object kernel's path)
-    # ------------------------------------------------------------------
-    def schedule_scalar(self, ctx: SchedulingContext) -> None:
-        for app in ctx.waiting_apps():
-            desired = self.allocation_policy.desired_executors(app.input_gb)
-            active = len(app.active_executors)
-            if active >= desired:
-                continue
-            self._schedule_app_scalar(ctx, app, desired, active)
-
-    def _schedule_app_scalar(self, ctx: SchedulingContext,
-                             app: SparkApplication,
-                             desired: int, active: int) -> None:
-        for node in ctx.cluster.nodes_by_free_memory():
-            if active >= desired or app.unassigned_gb <= 1e-6:
-                break
-            co_running = node.applications()
-            if app.name in co_running:
-                continue
-            if len(co_running) >= 2:
-                continue
-            if co_running:
-                # The co-locating task gets every remaining gigabyte.
-                budget = node.free_reserved_memory_gb
-            else:
-                budget = node.ram_gb * self.default_heap_fraction
-            if budget < 1.0:
-                continue
-            data = min(self.allocation_policy.default_split_gb(app.input_gb),
-                       app.unassigned_gb)
-            # Pairwise has no notion of CPU demand, so no admission test.
-            executor = ctx.spawn_executor(app, node.node_id, budget, data,
-                                          enforce_admission=False)
-            if executor is not None:
-                active += 1

@@ -97,7 +97,7 @@ class SparkApplication:
     @property
     def remaining_gb(self) -> float:
         """Data not yet processed: unassigned plus in-flight remainders."""
-        # Added left to right on purpose: the vector kernel's column
+        # Added left to right on purpose: the simulator's column
         # tallies (``np.bincount`` in spawn order) must match this bit for
         # bit, and ``sum()`` compensates float rounding from Python 3.12.
         in_flight = 0.0

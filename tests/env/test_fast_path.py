@@ -37,7 +37,7 @@ def run_learned(scenario: str, seed: int, obs_mode: str, *,
            if sample_seed is not None else None)
     policy = LearnedPolicy(record_trace=True, sample_rng=rng,
                            row_cache=(obs_mode == "features"))
-    result = rollout(scenario, policy, seed=seed, kernel="vector",
+    result = rollout(scenario, policy, seed=seed,
                      record_rewards=True, obs_mode=obs_mode,
                      record_utilization=(obs_mode == "dataclass"))
     return result.steps, result.stp, tuple(result.rewards), policy.trace
@@ -83,7 +83,7 @@ class TestFastObservationParity:
         results = {}
         for obs_mode in ("dataclass", "features"):
             result = rollout("churn20", PolicyAdapter("pairwise"), seed=11,
-                             kernel="vector", obs_mode=obs_mode,
+                             obs_mode=obs_mode,
                              record_utilization=(obs_mode == "dataclass"))
             results[obs_mode] = (result.steps, result.stp)
         assert results["dataclass"] == results["features"]
@@ -110,7 +110,7 @@ class TestSpeedColumnInvalidation:
     """
 
     def test_set_speed_moves_the_state_version(self):
-        env = SchedulingEnv("churn20", kernel="vector")
+        env = SchedulingEnv("churn20")
         policy = LearnedPolicy()
         policy.reset(11)
         env.reset(seed=11, scheduler_factory=policy.make_scheduler)
@@ -137,7 +137,7 @@ class TestSnapshotProperties:
         # both ways: from the typed observation and from the kernel's
         # state columns.  Rows must be bit-identical.
         policy = LearnedPolicy(sample_rng=np.random.default_rng(seed))
-        env = SchedulingEnv("churn20", kernel="vector")
+        env = SchedulingEnv("churn20")
         policy.reset(seed)
         observation = env.reset(seed=seed,
                                 scheduler_factory=policy.make_scheduler)

@@ -1,9 +1,9 @@
 """Tests for the training subsystem: learner, checkpoints, the scheme.
 
-The expensive guarantees (engine/kernel parity of the committed
-checkpoint across every registered scheme) already ride in the
-invariant and batch-parity sweeps — ``learned`` is registered, so those
-suites exercise it automatically.  This file covers the training loop
+The expensive guarantees (engine parity of the committed checkpoint
+across every golden scenario) already ride in the invariant sweep and
+the golden traces — ``learned`` is registered, so those suites exercise
+it automatically.  This file covers the training loop
 itself: convergence on a small budget, checkpoint round-trips,
 end-to-end determinism, and the env/native serving parity.
 """
@@ -105,11 +105,10 @@ class TestLearnedSchemeIntegration:
         assert model.metadata.get("scenario") == "churn20"
 
     @pytest.mark.parametrize("engine", ["event", "fixed"])
-    @pytest.mark.parametrize("kernel", ["vector", "object"])
-    def test_learned_runs_in_a_grid_next_to_pairwise(self, engine, kernel):
+    def test_learned_runs_in_a_grid_next_to_pairwise(self, engine):
         plan = ExperimentPlan(schemes=("pairwise", "learned"),
                               scenarios=("L1",), n_mixes=1, seed=7,
-                              engine=engine, kernel=kernel)
+                              engine=engine)
         with Session(use_cache=False) as session:
             results = session.run(plan)
         by_scheme = {r.scheme: r for r in results}

@@ -1,17 +1,16 @@
 """The co-location dispatcher's per-epoch app tallies stay exact.
 
-On the vector kernel the dispatcher reads each waiting application's
-in-flight data and active-executor count from
-``SchedulingContext.app_tallies`` once per ``schedule()`` call, then
-keeps them current through its own spawns.  These spies check, on every
+The dispatcher reads each waiting application's in-flight data and
+active-executor count from ``SchedulingContext.app_tallies`` once per
+``schedule()`` call, then keeps them current through its own spawns.  These spies check, on every
 scheme that runs the dispatcher, that the tallies equal the object walks
 ``SparkApplication.remaining_gb`` / ``active_executors`` bit for bit:
 when the context computes them, and after every placement attempt.
 churn20 adds node failures, kills and re-runs; L5 is a busy batch.
 
-A third spy checks the settle rule of ``_round_robin`` on both kernels:
-an application gets no further offer in a call once one of its offers
-placed nothing, and no settled application could have placed anything.
+A third spy checks the settle rule of ``_round_robin``: an application
+gets no further offer in a call once one of its offers placed nothing,
+and no settled application could have placed anything.
 """
 
 from types import SimpleNamespace
@@ -30,7 +29,6 @@ from repro.spark.executor import ExecutorState
 SCHEMES = ("ours", "oracle", "quasar", "meta")
 SCENARIOS = ("churn20", "L5")
 ENGINES = ("event", "fixed")
-KERNELS = ("vector", "object")
 SEED = 7
 
 
@@ -110,22 +108,20 @@ def run_spied(scheme, scenario, engine, artefacts, monkeypatch):
     assert counts["placements"] > counts["spawns"]
 
 
-def simulate(scheme, scenario, engine, artefacts, kernel="vector"):
+def simulate(scheme, scenario, engine, artefacts):
     spec = load_scenario(scenario)
     cluster = spec.build_cluster()
     policy = DynamicAllocationPolicy(max_executors=len(cluster))
     scheduler = build_scheduler(scheme, artefacts, allocation_policy=policy)
     ClusterSimulator(cluster, scheduler, seed=SEED, step_mode=engine,
-                     max_time_min=spec.max_time_min, faults=spec.faults,
-                     kernel=kernel).run(
+                     max_time_min=spec.max_time_min, faults=spec.faults).run(
         spec.make_mixes(n_mixes=1, seed=SEED)[0])
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("scenario", SCENARIOS)
 @pytest.mark.parametrize("scheme", SCHEMES)
-def test_settled_apps_would_place_nothing(scheme, scenario, engine, kernel,
+def test_settled_apps_would_place_nothing(scheme, scenario, engine,
                                           artefacts, monkeypatch):
     """An app gets no offer after one places nothing, and that drops no
     placement: after each pass, one more full round over every waiting
@@ -153,21 +149,6 @@ def test_settled_apps_would_place_nothing(scheme, scenario, engine, kernel,
 
     monkeypatch.setattr(MemoryAwareCoLocationScheduler, "_round_robin",
                         staticmethod(spy))
-    simulate(scheme, scenario, engine, artefacts, kernel)
+    simulate(scheme, scenario, engine, artefacts)
     assert counts["calls"] > 0 and counts["spawns"] > 0
 
-
-def test_object_kernel_keeps_the_scalar_walk(monkeypatch):
-    """The parity oracle never consults the tallies."""
-    def forbidden(ctx, apps):
-        raise AssertionError("object kernel read the column tallies")
-
-    monkeypatch.setattr(SchedulingContext, "app_tallies", forbidden)
-    spec = load_scenario("L5")
-    cluster = spec.build_cluster()
-    policy = DynamicAllocationPolicy(max_executors=len(cluster))
-    scheduler = build_scheduler("oracle", None, allocation_policy=policy)
-    result = ClusterSimulator(cluster, scheduler, seed=SEED, kernel="object",
-                              max_time_min=spec.max_time_min).run(
-        spec.make_mixes(n_mixes=1, seed=SEED)[0])
-    assert result.all_finished()

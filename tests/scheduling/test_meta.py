@@ -1,11 +1,11 @@
 """Tests for the context-aware meta-scheduler (scheduling/meta.py).
 
-The batch-parity suite already runs the registered ``meta`` scheme (its
-tuned pairwise/ours default) through the full engine × kernel matrix on
-L1/L5/churn20; here the hot-swap machinery itself is pinned down with
-artefact-free inner schemes: a scripted churn storm forces switches in
-both directions and the four engine × kernel trajectories must agree
-bit-for-bit, the hysteresis dwell must hold, and a switched-in scheme
+The golden traces already pin the registered ``meta`` scheme (its tuned
+pairwise/ours default) on both engines on L1/L5/churn20/regime_shift;
+here the hot-swap machinery itself is pinned down with artefact-free
+inner schemes: a scripted churn storm forces switches in both directions
+and the two engines' trajectories must agree bit-for-bit, the hysteresis
+dwell must hold, and a switched-in scheme
 must re-derive its executor cap from the *live* topology and drop its
 footprint memo (the switch-replay rule).
 """
@@ -76,11 +76,11 @@ def make_meta(dwell_min=5.0, primary="oracle", fallback="isolated"):
                          dwell_min=dwell_min)
 
 
-def run_storm(engine, kernel, dwell_min=5.0, scheduler=None):
+def run_storm(engine, dwell_min=5.0, scheduler=None):
     cluster = Cluster.homogeneous(6)
     scheduler = scheduler or make_meta(dwell_min=dwell_min)
     simulator = ClusterSimulator(cluster, scheduler, seed=SEED,
-                                 step_mode=engine, kernel=kernel,
+                                 step_mode=engine,
                                  max_time_min=2000.0, faults=STORM)
     result = simulator.run(STORM_JOBS)
     policy = DynamicAllocationPolicy(max_executors=6)
@@ -187,7 +187,7 @@ class TestValidation:
 
 class TestForcedSwitches:
     def test_storm_switches_out_and_back(self):
-        result, scheduler, _ = run_storm("event", "vector")
+        result, scheduler, _ = run_storm("event")
         switches = result.scheme_switches
         assert len(switches) >= 2
         assert switches[0].to_scheme == "isolated"
@@ -199,11 +199,9 @@ class TestForcedSwitches:
                 == len(switches))
         assert "churn=" in switches[0].reason
 
-    def test_trajectories_identical_across_engines_and_kernels(self):
-        runs = {(engine, kernel): run_storm(engine, kernel)
-                for engine in ("event", "fixed")
-                for kernel in ("vector", "object")}
-        reference_key = ("event", "vector")
+    def test_trajectories_identical_across_engines(self):
+        runs = {engine: run_storm(engine) for engine in ("event", "fixed")}
+        reference_key = "event"
         ref_result, _, ref_eval = runs[reference_key]
         ref_events = [(e.kind, e.time, getattr(e, "app", None),
                        getattr(e, "node_id", None))
@@ -232,8 +230,8 @@ class TestForcedSwitches:
         # With a 5-minute dwell the calm switch-back lands when the churn
         # window empties (t=40); a 50-minute dwell must hold it until
         # t >= 55 (= 5 + 50) even though the cluster is calm well before.
-        short, _, _ = run_storm("event", "vector", dwell_min=5.0)
-        long, _, _ = run_storm("event", "vector", dwell_min=50.0)
+        short, _, _ = run_storm("event", dwell_min=5.0)
+        long, _, _ = run_storm("event", dwell_min=50.0)
         assert len(short.scheme_switches) >= 2
         assert len(long.scheme_switches) >= 2
         first, second = long.scheme_switches[:2]
@@ -241,7 +239,7 @@ class TestForcedSwitches:
         assert second.time_min > short.scheme_switches[1].time_min
 
     def test_every_gap_between_switches_respects_the_dwell(self):
-        result, scheduler, _ = run_storm("event", "vector")
+        result, scheduler, _ = run_storm("event")
         times = [s.time_min for s in result.scheme_switches]
         for before, after in zip(times, times[1:]):
             assert after - before >= scheduler.dwell_min
@@ -273,7 +271,7 @@ class TestSwitchReplay:
                 oracle._predicted_gb["__stale__"] = 1.0
 
         oracle.on_cluster_change = spy
-        result, _, _ = run_storm("event", "vector", scheduler=scheduler)
+        result, _, _ = run_storm("event", scheduler=scheduler)
         # During its t=0-5 tenure the oracle really does fill the memo,
         # and the genuine NodeDown clears it — the normal-path rule.
         outage = replays[0]

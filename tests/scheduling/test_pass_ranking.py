@@ -1,6 +1,6 @@
 """The co-location pass walks the scheme's declared order.
 
-On the vector kernel ``MemoryAwareCoLocationScheduler`` ranks the nodes
+``MemoryAwareCoLocationScheduler`` ranks the nodes
 once per ``schedule()`` call and, after each of its own spawns, re-ranks
 only the node the spawn landed on.  A hypothesis sweep drives the pass's
 offers and direct spawns on a cluster with a down node, a straggler and
