@@ -21,15 +21,14 @@ performance envelope::
     python benchmarks/fig6_grid.py --quick --workers 2 --n-mixes 4 --output BENCH_baseline.json
     python benchmarks/scenario_smoke.py --merge-into BENCH_baseline.json
 
-When the kernel-throughput reports are passed too (``--throughput`` /
+When the throughput reports are passed too (``--throughput`` /
 ``--throughput-baseline``, produced by ``benchmarks/throughput.py``),
-the gate additionally checks, per tier present in both reports:
+the gate additionally checks, per tier of the PR report:
 
-* both kernels still agree bit-for-bit (``kernels_agree``);
-* the vector kernel's events/sec may regress at most the same
-  ``--max-regression`` fraction — normalized, as above, by the
-  same-machine object-kernel events/sec (i.e. the gated quantity is
-  ``vector_speedup``), so runner hardware cancels out.
+* the trajectory (event count and makespan) equals the committed run's;
+* every tier but ``ci`` may regress its events/sec at most the same
+  ``--max-regression`` fraction — normalized by the same report's
+  ``ci`` events/sec, so runner hardware cancels out.
 
 When the rollout-throughput reports are passed (``--rollout`` /
 ``--rollout-baseline``, produced by ``benchmarks/rollout_throughput.py``),
@@ -40,7 +39,7 @@ the gate additionally checks, per case present in both reports:
   baseline's exactly (episodes are deterministic per scenario/seed);
 * ``fast_speedup`` — fast steps/sec normalized by the same machine's
   oracle-mode steps/sec — may regress at most
-  ``--rollout-max-regression`` (default 30 %, looser than the kernel
+  ``--rollout-max-regression`` (default 30 %, looser than the throughput
   tiers because the quick cases time tens-of-milliseconds episodes).
 
 Usage::
@@ -70,63 +69,33 @@ def _load(path: str) -> dict:
         raise SystemExit(2)
 
 
+#: The throughput tier whose events/sec normalizes every other tier's.
+NORM_TIER = "ci"
+
+
 def check_throughput(pr: dict, base: dict, max_regression: float,
                      failures: list[str]) -> None:
-    """Gate the kernel-throughput report against its committed baseline.
+    """Gate the throughput report against its committed baseline.
 
-    Events/sec is hardware-bound, so the gated quantities are ratios of
-    same-machine measurements:
-
-    * tiers that ran both kernels are gated on ``vector_speedup``
-      (vector events/sec over the same machine's object-kernel
-      events/sec), and ``kernels_agree`` — the end-to-end batched-vs-
-      scalar scoring agreement, since the object kernel runs every
-      scheme's scalar parity-oracle path — must hold absolutely;
-    * vector-only tiers (the scheduler-bound ``queue`` tier, whose
-      object-kernel run would take hours) are gated on their events/sec
-      normalized by the same report's ``ci`` vector events/sec, and
-      their trajectory (event count and makespan, deterministic per
-      scenario/seed) must match the committed baseline exactly — the
-      correctness pin standing in for the missing same-run comparison.
+    Each tier's run (the ``"vector"`` entry) is deterministic per
+    scenario/seed, so its trajectory (event count and makespan) must
+    match the committed run exactly.  Events/sec is hardware-bound, so
+    every tier but ``ci`` is gated on its events/sec normalized by the
+    same report's ``ci`` events/sec; the ``ci`` tier itself, the
+    normalizer, is gated by its trajectory pin alone.
     """
     for tier, entry in sorted(pr.get("tiers", {}).items()):
-        reference = base.get("tiers", {}).get(tier)
-        if "object" not in entry:
-            check_vector_only_tier(tier, entry, pr, reference, base,
-                                   max_regression, failures)
-            continue
-        if entry.get("kernels_agree") is not True:
-            failures.append(f"throughput tier {tier!r}: vector and object "
-                            f"kernels diverge — the batched scoring path "
-                            f"no longer reproduces the scalar oracle "
-                            f"(kernels_agree is not true)")
-            continue
-        if reference is None or "vector_speedup" not in reference:
-            print(f"throughput tier {tier!r}: no committed reference; "
-                  f"skipping the events/sec gate")
-            continue
-        pr_speedup = float(entry["vector_speedup"])
-        base_speedup = float(reference["vector_speedup"])
-        regression = pr_speedup / base_speedup - 1.0
-        print(f"throughput tier {tier!r}: vector kernel at "
-              f"{pr_speedup:.2f}x the object kernel's events/sec "
-              f"(baseline {base_speedup:.2f}x, {regression:+.1%}; "
-              f"budget -{max_regression:.0%})")
-        if pr_speedup < base_speedup * (1.0 - max_regression):
-            failures.append(
-                f"throughput tier {tier!r}: normalized events/sec "
-                f"regression {regression:+.1%} exceeds the "
-                f"{max_regression:.0%} budget")
+        check_tier(tier, entry, pr, base.get("tiers", {}).get(tier), base,
+                   max_regression, failures)
 
 
-def check_vector_only_tier(tier: str, entry: dict, pr: dict,
-                           reference: dict | None, base: dict,
-                           max_regression: float,
-                           failures: list[str]) -> None:
-    """Gate a tier measured on the vector kernel only (see above)."""
+def check_tier(tier: str, entry: dict, pr: dict, reference: dict | None,
+               base: dict, max_regression: float,
+               failures: list[str]) -> None:
+    """Gate one throughput tier (see :func:`check_throughput`)."""
     vector = entry.get("vector")
     if vector is None:
-        print(f"throughput tier {tier!r}: no vector run recorded; skipping")
+        print(f"throughput tier {tier!r}: no run recorded; skipping")
         return
     if reference is not None and "vector" in reference:
         ref_vector = reference["vector"]
@@ -139,19 +108,20 @@ def check_vector_only_tier(tier: str, entry: dict, pr: dict,
                 f"makespan {vector.get('makespan_min')} vs "
                 f"{ref_vector.get('makespan_min')}) — refresh the baseline "
                 f"only if the behaviour change is intended")
-    norm_tier = "ci"
+    if tier == NORM_TIER:
+        return
     try:
         pr_norm = (float(vector["events_per_s"])
-                   / float(pr["tiers"][norm_tier]["vector"]["events_per_s"]))
+                   / float(pr["tiers"][NORM_TIER]["vector"]["events_per_s"]))
         base_norm = (float(reference["vector"]["events_per_s"])
-                     / float(base["tiers"][norm_tier]["vector"]["events_per_s"]))
+                     / float(base["tiers"][NORM_TIER]["vector"]["events_per_s"]))
     except (KeyError, TypeError, ZeroDivisionError):
-        print(f"throughput tier {tier!r}: missing {norm_tier!r} vector "
+        print(f"throughput tier {tier!r}: missing {NORM_TIER!r} "
               f"reference in a report; skipping the events/sec gate")
         return
     regression = pr_norm / base_norm - 1.0
-    print(f"throughput tier {tier!r}: vector events/sec at {pr_norm:.3f}x "
-          f"the {norm_tier!r} tier's (baseline {base_norm:.3f}x, "
+    print(f"throughput tier {tier!r}: events/sec at {pr_norm:.3f}x "
+          f"the {NORM_TIER!r} tier's (baseline {base_norm:.3f}x, "
           f"{regression:+.1%}; budget -{max_regression:.0%})")
     if pr_norm < base_norm * (1.0 - max_regression):
         failures.append(
@@ -224,11 +194,11 @@ def main(argv=None) -> int:
     parser.add_argument("baseline", help="committed reference "
                                          "(BENCH_baseline.json)")
     parser.add_argument("--throughput", metavar="PATH",
-                        help="freshly produced kernel-throughput report "
+                        help="freshly produced throughput report "
                              "(benchmarks/throughput.py output)")
     parser.add_argument("--throughput-baseline", metavar="PATH",
                         default="BENCH_throughput.json",
-                        help="committed kernel-throughput reference "
+                        help="committed throughput reference "
                              "(default: BENCH_throughput.json)")
     parser.add_argument("--rollout", metavar="PATH",
                         help="freshly produced rollout-throughput report "
@@ -244,7 +214,7 @@ def main(argv=None) -> int:
         help="maximum allowed fast_speedup regression for the rollout "
              "gate (default: 0.30 — the quick cases time tens-of-"
              "milliseconds episodes, so the ratio is noisier than the "
-             "long-running kernel tiers; correctness is carried by the "
+             "long-running throughput tiers; correctness is carried by the "
              "bit-exact modes_agree and STP pins, the ratio gate only "
              "has to catch the fast path losing its advantage)")
     parser.add_argument(

@@ -57,7 +57,6 @@ from repro.env.train.scheme import LearnedPolicy  # noqa: E402
 
 SEED = 11
 ENGINE = "event"
-KERNEL = "vector"
 
 #: case name -> (scenario, policy kind, timed repeats).  churn20
 #: episodes run in tens of milliseconds, so they take enough repeats to
@@ -96,7 +95,7 @@ def run_episode(scenario: str, kind: str, mode: str, *,
     """
     fast = mode == "fast"
     policy = make_policy(kind, trace=trace, row_cache=fast)
-    env = SchedulingEnv(scenario, engine=ENGINE, kernel=KERNEL,
+    env = SchedulingEnv(scenario, engine=ENGINE,
                         obs_mode="features" if fast else "dataclass",
                         record_utilization=not fast)
     policy.reset(SEED)
@@ -207,7 +206,6 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "machine": platform.machine(),
         "engine": ENGINE,
-        "kernel": KERNEL,
         "seed": SEED,
         "quick": args.quick,
         "cases": {},

@@ -1,10 +1,8 @@
-"""Event-throughput benchmark of the array-backed kernel (mega tier).
+"""Event-throughput benchmark of the array-backed simulator (mega tier).
 
-Runs the fleet-scale ``mega_*`` scenarios once per kernel — the
-vectorized structured-array kernel (``kernel="vector"``, the default)
-and the per-object fallback (``kernel="object"``) — under the event
-engine with a bus subscriber counting every published event, and
-reports events/sec, jobs/sec and the vector/object speedup per tier:
+Runs the fleet-scale ``mega_*`` scenarios under the event engine with a
+bus subscriber counting every published event, and reports events/sec and
+jobs/sec per tier:
 
 * ``ci``    — ``mega_ci_1k``: 1k jobs on 128 churning nodes, small
   enough for every PR's CI run;
@@ -16,28 +14,22 @@ reports events/sec, jobs/sec and the vector/object speedup per tier:
 * ``mega``  — ``mega_diurnal_10k``: 10k jobs over a replayed diurnal
   week on 1024 churning nodes, the headline throughput tier.
 
-Both kernels must agree bit-for-bit — the report records the event
-count and makespan of each and a ``kernels_agree`` flag per tier; a
-fast kernel that diverges is a failure, not a win.  ``--profile`` adds
-each run's per-phase wall-clock breakdown (arrivals / faults / oom /
-schedule / advance, read off the engine's always-on phase counters) so
-a regression can be attributed to the phase that caused it.  The
-committed ``BENCH_throughput.json`` additionally carries a
+Each tier's run is recorded under the ``"vector"`` key, the shape of
+the committed report.  Its event count and makespan are deterministic per
+scenario/seed, so ``compare_baseline.py`` pins them to the committed run.
+``--profile`` adds each run's per-phase wall-clock breakdown (arrivals /
+faults / oom / schedule / advance, read off the engine's always-on phase
+counters) so a regression can be attributed to the phase that caused it.
+The committed ``BENCH_throughput.json`` additionally carries a
 ``prerefactor_baseline`` section: the same scenario/seed/grid measured
 before the vectorization work, on the same machine as the committed
-kernel numbers.
-
-The object kernel walks the 20k-deep queue tier thousands of times
-slower than the vector kernel, so the ``queue`` tier is vector-only by
-default (``--with-object-queue`` forces the comparison run; the
-bit-for-bit cross-check for the queue shape lives in the test suite at
-a size CI can afford).
+numbers.
 
 Usage::
 
     python benchmarks/throughput.py --tier ci --output BENCH_throughput.json
     python benchmarks/throughput.py --tier ci,queue --profile
-    python benchmarks/throughput.py --tier all --skip-object
+    python benchmarks/throughput.py --tier all
 """
 
 from __future__ import annotations
@@ -60,21 +52,16 @@ from repro.spark.driver import DynamicAllocationPolicy  # noqa: E402
 TIERS = {"ci": "mega_ci_1k", "queue": "mega_queue_20k",
          "mega": "mega_diurnal_10k"}
 
-#: Tiers whose object-kernel run is skipped unless explicitly forced:
-#: the per-object scheduling epoch over a 20k-deep queue is so slow the
-#: comparison run would dominate the whole benchmark by hours.
-VECTOR_ONLY_TIERS = frozenset({"queue"})
-
 #: Benchmark grid: half-minute sampling resolution — the regime where
-#: per-epoch costs (usage fan-out, capacity accounting) dominate and a
-#: kernel's scaling behaviour actually shows.
+#: per-epoch costs (usage fan-out, capacity accounting) dominate and the
+#: simulator's scaling behaviour actually shows.
 TIME_STEP_MIN = 0.5
 SEED = 7
 SCHEME = "pairwise"  # needs no offline training; placement-bound
 
 
-def run_once(scenario_name: str, kernel: str, profile: bool = False) -> dict:
-    """One seeded scenario run on one kernel; returns the measurements."""
+def run_once(scenario_name: str, profile: bool = False) -> dict:
+    """One seeded scenario run; returns the measurements."""
     spec = scenario(scenario_name)
     cluster = spec.build_cluster()
     scheduler = build_scheduler(
@@ -83,7 +70,7 @@ def run_once(scenario_name: str, kernel: str, profile: bool = False) -> dict:
     simulator = ClusterSimulator(
         cluster, scheduler, seed=SEED, step_mode="event",
         time_step_min=TIME_STEP_MIN, record_utilization=False,
-        max_time_min=spec.max_time_min, faults=spec.faults, kernel=kernel)
+        max_time_min=spec.max_time_min, faults=spec.faults)
     n_events = 0
 
     def count(event) -> None:
@@ -98,7 +85,6 @@ def run_once(scenario_name: str, kernel: str, profile: bool = False) -> dict:
     finished = sum(1 for app in simulator.submission_order
                    if app.finish_time is not None)
     report = {
-        "kernel": kernel,
         "wall_clock_s": round(wall, 2),
         "events": n_events,
         "events_per_s": round(n_events / wall, 1),
@@ -116,27 +102,13 @@ def run_once(scenario_name: str, kernel: str, profile: bool = False) -> dict:
     return report
 
 
-def run_tier(tier: str, kernels: tuple[str, ...], profile: bool,
-             with_object_queue: bool) -> dict:
+def run_tier(tier: str, profile: bool) -> dict:
     scenario_name = TIERS[tier]
-    if tier in VECTOR_ONLY_TIERS and not with_object_queue:
-        kernels = tuple(k for k in kernels if k != "object")
-    report: dict = {"scenario": scenario_name}
-    for kernel in kernels:
-        print(f"[{tier}] {scenario_name} kernel={kernel} ...",
-              flush=True, file=sys.stderr)
-        report[kernel] = run_once(scenario_name, kernel, profile=profile)
-        print(f"[{tier}]   {report[kernel]['wall_clock_s']}s, "
-              f"{report[kernel]['events_per_s']:,.0f} events/s",
-              flush=True, file=sys.stderr)
-    if "vector" in report and "object" in report:
-        vector, obj = report["vector"], report["object"]
-        report["kernels_agree"] = (
-            vector["events"] == obj["events"]
-            and vector["makespan_min"] == obj["makespan_min"])
-        report["vector_speedup"] = round(
-            vector["events_per_s"] / obj["events_per_s"], 2)
-    return report
+    print(f"[{tier}] {scenario_name} ...", flush=True, file=sys.stderr)
+    run = run_once(scenario_name, profile=profile)
+    print(f"[{tier}]   {run['wall_clock_s']}s, "
+          f"{run['events_per_s']:,.0f} events/s", flush=True, file=sys.stderr)
+    return {"scenario": scenario_name, "vector": run}
 
 
 def parse_tiers(value: str) -> list[str]:
@@ -157,13 +129,6 @@ def main(argv=None) -> int:
     parser.add_argument("--tier", type=parse_tiers, default=["ci"],
                         help="comma-separated tier list out of "
                              f"{', '.join(TIERS)}, or 'all' (default: ci)")
-    parser.add_argument("--skip-object", action="store_true",
-                        help="run only the vector kernel (no fallback "
-                             "comparison run, no speedup/agreement fields)")
-    parser.add_argument("--with-object-queue", action="store_true",
-                        help="run the object kernel on the queue tier too "
-                             "(hours: the per-object epoch over a 20k-deep "
-                             "queue is what the vector kernel removed)")
     parser.add_argument("--profile", action="store_true",
                         help="record each run's per-phase wall-clock "
                              "breakdown (arrivals/faults/oom/schedule/"
@@ -173,7 +138,6 @@ def main(argv=None) -> int:
                                              "(default: BENCH_throughput.json)")
     args = parser.parse_args(argv)
 
-    kernels = ("vector",) if args.skip_object else ("vector", "object")
     report = {
         "benchmark": "kernel_throughput",
         "python": platform.python_version(),
@@ -182,15 +146,8 @@ def main(argv=None) -> int:
         "time_step_min": TIME_STEP_MIN,
         "seed": SEED,
         "scheme": SCHEME,
-        "tiers": {tier: run_tier(tier, kernels, args.profile,
-                                 args.with_object_queue)
-                  for tier in args.tier},
+        "tiers": {tier: run_tier(tier, args.profile) for tier in args.tier},
     }
-    for tier, entry in report["tiers"].items():
-        if entry.get("kernels_agree") is False:
-            print(f"FAIL: kernels diverge on tier {tier!r}", file=sys.stderr)
-            Path(args.output).write_text(json.dumps(report, indent=2) + "\n")
-            return 1
     Path(args.output).write_text(json.dumps(report, indent=2) + "\n")
     print(json.dumps(report["tiers"], indent=2))
     return 0
