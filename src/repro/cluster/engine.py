@@ -576,11 +576,15 @@ class EventDrivenEngine(_EngineBase):
         eps = 1e-9
         snap = self._snapshot()
         oom_nodes = self._oom_flags(snap)
+        # The kills free memory and queue data for the isolated re-run,
+        # which the fixed engine acts on one grid step later.
+        after_kill = math.inf
         if oom_nodes.size:
             for node_slot in oom_nodes.tolist():
                 self._resolve_node_oom(state.node_objs[node_slot], now,
                                        self._footprint)
             snap = self._snapshot()
+            after_kill = self._align(now, now)
         # Paging transitions are recorded per node in id order.
         for node_slot in np.flatnonzero(snap.paging).tolist():
             sim.events.record(
@@ -604,6 +608,7 @@ class EventDrivenEngine(_EngineBase):
         else:
             next_finish = math.inf
         t_next = min(next_finish,
+                     after_kill,
                      self._next_arrival(now),
                      self._next_profiling_ready(now),
                      self._next_fault(now),

@@ -9,6 +9,10 @@ recovery stay stable across engine changes.
 import pytest
 
 from repro.cluster import Cluster, ClusterSimulator, EventKind
+from repro.metrics.throughput import evaluate_schedule
+from repro.scenarios import load_scenario
+from repro.scheduling.registry import build_scheduler
+from repro.spark.driver import DynamicAllocationPolicy
 from repro.workloads import Job
 
 ENGINES = ("fixed", "event")
@@ -131,3 +135,27 @@ class TestIsolatedRerun:
         for event in result.events.of_kind(EventKind.EXECUTOR_OOM):
             returned = float(event.detail.split("returned=")[1].rstrip("GB"))
             assert 0.0 <= returned <= 60.0 + 1e-6
+
+
+class TestEnginesAgreeAfterKills:
+    def test_event_engine_reruns_killed_data_one_step_later(self):
+        # On regime_shift (seed 11) pairwise co-locations exhaust swap:
+        # at t=96.0 OOM kills free nodes 14-19, and the fixed engine
+        # re-places work there at 96.5.  The event engine must wake on
+        # that same grid step, not at the next arrival or rescan tick.
+        spec = load_scenario("regime_shift")
+        jobs = spec.make_mixes(n_mixes=1, seed=11)[0]
+        runs = {}
+        for step_mode in ENGINES:
+            cluster = spec.build_cluster()
+            policy = DynamicAllocationPolicy(max_executors=len(cluster))
+            scheduler = build_scheduler("pairwise", None,
+                                        allocation_policy=policy)
+            result = ClusterSimulator(
+                cluster, scheduler, seed=11, step_mode=step_mode,
+                max_time_min=spec.max_time_min, faults=spec.faults).run(jobs)
+            assert result.events.count(EventKind.EXECUTOR_OOM) > 0
+            runs[step_mode] = (
+                evaluate_schedule(result, jobs, policy),
+                {name: app.finish_time for name, app in result.apps.items()})
+        assert runs["event"] == runs["fixed"]
