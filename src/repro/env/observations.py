@@ -292,13 +292,18 @@ class ObservationBuilder:
             active_executors=len(node.active_executors()),
             cpu_reserved=node.reserved_cpu_load,
         ) for node in sim.cluster.nodes)
+        # Added left to right: ``sum()`` compensates float rounding from
+        # Python 3.12.
+        oom_rerun_gb = 0.0
+        for pending_gb in sim.oom_retry_gb.values():
+            oom_rerun_gb += pending_gb
         return Observation(
             time_min=now,
             epoch=epoch,
             jobs=tuple(jobs),
             nodes=nodes,
             pending_arrivals=sim.pending_count(),
-            oom_rerun_gb=float(sum(sim.oom_retry_gb.values())),
+            oom_rerun_gb=float(oom_rerun_gb),
             telemetry=self.telemetry(),
         )
 

@@ -235,3 +235,13 @@ class TestObservationTelemetry:
             if done or obs.telemetry.node_failures:
                 break
         assert obs.telemetry.node_failures == 1
+
+    def test_oom_rerun_total_adds_left_to_right(self, python312_sum):
+        # Three apps awaiting an isolated re-run: left to right the total
+        # is 0.6000000000000001, a compensated sum() gives 0.6.
+        env = SchedulingEnv(TINY)
+        env.reset(seed=3)
+        env._sim.oom_retry_gb.update({"a": 0.1, "b": 0.2, "c": 0.3})
+        assert sum([0.1, 0.2, 0.3]) == 0.6
+        observation = env._observer.build(env._context, env._now, env._epoch)
+        assert observation.oom_rerun_gb == 0.1 + 0.2 + 0.3
