@@ -5,7 +5,7 @@ The package is organised as a set of substrates plus the paper's core
 contribution:
 
 * :mod:`repro.ml` — from-scratch machine-learning building blocks.
-* :mod:`repro.spark` — a Spark-like application/executor/RDD model.
+* :mod:`repro.spark` — a Spark-like application/executor model.
 * :mod:`repro.cluster` — a discrete-event multi-node cluster simulator with
   memory-pressure and CPU-contention modelling.
 * :mod:`repro.profiling` — synthetic runtime feature (performance counter)

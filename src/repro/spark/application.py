@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from repro.spark.executor import Executor, ExecutorState
-from repro.spark.rdd import RDD
 from repro.workloads.benchmark import BenchmarkSpec
 
 __all__ = ["ApplicationState", "SparkApplication"]
@@ -56,7 +55,6 @@ class SparkApplication:
     calibration_min: float = 0.0
     executors: list[Executor] = field(default_factory=list)
     unassigned_gb: float = field(init=False)
-    _rdd: RDD | None = field(default=None, init=False, repr=False)
 
     # Queue-slot view plumbing (class attributes, NOT dataclass fields):
     # once the simulator admits the app, ``ClusterState.adopt_app`` points
@@ -69,17 +67,6 @@ class SparkApplication:
         if self.input_gb <= 0:
             raise ValueError("input_gb must be positive")
         self.unassigned_gb = float(self.input_gb)
-
-    @property
-    def rdd(self) -> RDD:
-        """The application's input dataset, materialised on first access.
-
-        Building the partition list is O(input_gb / 128 MB); the scheduling
-        fast path never touches it, so it is created lazily.
-        """
-        if self._rdd is None:
-            self._rdd = RDD.from_input_size(self.name, self.input_gb)
-        return self._rdd
 
     # ------------------------------------------------------------------
     # Progress accounting
