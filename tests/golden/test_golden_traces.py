@@ -18,6 +18,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.scheduling.registry import scheme_info, scheme_names
+
 _REGEN_PATH = Path(__file__).resolve().parent / "regen.py"
 _spec = importlib.util.spec_from_file_location("golden_regen", _REGEN_PATH)
 regen = importlib.util.module_from_spec(_spec)
@@ -70,6 +72,29 @@ def test_python312_sum_compensates_floats_only(python312_sum):
     for tenth in tenths:
         plain += tenth
     assert plain != 1.0 and sum(tenths) == plain
+
+
+def builtin_schemes() -> tuple[str, ...]:
+    """Registered schemes whose builders ship in the ``repro`` package, in
+    registration order (plugins registered by tests are left out)."""
+    def home(builder) -> str:
+        return getattr(builder, "func", builder).__module__
+    return tuple(name for name in scheme_names()
+                 if home(scheme_info(name).builder).startswith("repro."))
+
+
+@pytest.mark.parametrize("scenario", regen.SCENARIOS)
+def test_every_registered_scheme_has_goldens(scenario):
+    """A scheme cannot be registered without trajectories: every built-in
+    scheme is a golden case on every golden scenario, and no case names
+    a scheme the registry lost."""
+    traced = tuple(scheme for case_scenario, scheme in regen.CASES
+                   if case_scenario == scenario
+                   and scheme not in regen.LOCAL_SCHEMES)
+    assert traced == builtin_schemes(), (
+        f"golden cases on {scenario} do not match the registered schemes; "
+        f"add the scheme to regen.SCHEMES and run "
+        f"`PYTHONPATH=src python {_REGEN_PATH} --regen`")
 
 
 def test_trace_fingerprints_are_nontrivial():
