@@ -15,7 +15,9 @@ Two interchangeable engines drive :class:`~repro.cluster.simulator.ClusterSimula
   or the rescan tick that bounds how stale a waiting queue may become —
   and jumps simulated time directly to it.  Out-of-memory kills and
   paging transitions can only occur when node membership changes, so they
-  are resolved instantaneously right after each scheduler invocation.
+  are resolved instantaneously right after each scheduler invocation; an
+  epoch that kills wakes again on the next grid step, where the fixed-step
+  engine re-runs the killed data and re-places on the freed memory.
 
 The **lifecycle of one scheduling epoch is shared**: :meth:`_EngineBase.run`
 owns the loop — job arrivals, dynamic-cluster fault application, OOM
