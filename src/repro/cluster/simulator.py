@@ -353,12 +353,12 @@ class SchedulingContext:
         """Candidate-node feature columns for batched scheme scoring.
 
         The snapshot is cached against the cluster state's mutation
-        version: repeated calls within one placement pass are free.  The first call after a version move returns a
-        new snapshot and never mutates one already handed out.  When the
-        only moves were spawns through this context, the new snapshot
-        patches just the nodes they touched (:meth:`NodeFeatures.with_spawns`);
-        any other change (finish, fault, eviction, speed) rebuilds every
-        column.
+        version: repeated calls within one placement pass are free.  The
+        first call after a version move returns a new snapshot and never
+        mutates one already handed out.  When the only moves were spawns
+        through this context, the new snapshot patches just the nodes they
+        touched (:meth:`NodeFeatures.with_spawns`); any other change
+        (finish, fault, eviction, speed) rebuilds every column.
         """
         sim = self._sim
         cached = self._features

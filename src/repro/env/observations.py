@@ -313,10 +313,11 @@ class ObservationBuilder:
 
         Fills the learned featurizer's ``EpochSnapshot`` straight from
         the kernel's :class:`~repro.cluster.state.ClusterState` columns
-        (via the version-cached ``NodeFeatures`` epoch snapshot), skipping the per-job/per-node dataclass tuples
-        and the per-node monitor queries :meth:`build` pays.  The
-        resulting arrays are bit-identical to running
-        ``snapshot_from_observation`` on :meth:`build`'s output.
+        (via the version-cached ``NodeFeatures`` epoch snapshot),
+        skipping the per-job/per-node dataclass tuples and the per-node
+        monitor queries :meth:`build` pays.  The resulting arrays are
+        bit-identical to running ``snapshot_from_observation`` on
+        :meth:`build`'s output.
         """
         # Lazy import: repro.env.train packages import the environment,
         # which imports this module — a top-level import would cycle.

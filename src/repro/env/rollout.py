@@ -139,8 +139,8 @@ class EpisodeResult:
 
 
 def rollout(scenario, policy: Policy, *, seed: int = 11,
-            engine: str = "event",
-            reward: str = "stp_delta", time_step_min: float = 0.5,
+            engine: str = "event", reward: str = "stp_delta",
+            time_step_min: float = 0.5,
             max_steps: int | None = None,
             record_rewards: bool = False,
             obs_mode: str = "dataclass",
@@ -160,8 +160,8 @@ def rollout(scenario, policy: Policy, *, seed: int = 11,
     bit-identical to the defaults; only the episode's utilization metric
     switches to the streaming reduction).
     """
-    env = SchedulingEnv(scenario, engine=engine,
-                        reward=reward, time_step_min=time_step_min,
+    env = SchedulingEnv(scenario, engine=engine, reward=reward,
+                        time_step_min=time_step_min,
                         obs_mode=obs_mode,
                         record_utilization=record_utilization)
     policy.reset(seed)

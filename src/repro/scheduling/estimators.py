@@ -71,9 +71,10 @@ class MemoryEstimator(ABC):
         may vectorize internally, but MUST return values bit-identical to
         per-row ``footprint_gb`` calls: the batched results fill the same
         memo the dispatcher's lazy per-row calls fill, and any ulp of
-        drift would make a placement depend on which call filled it.  (Notably, pushing a multi-row matrix through a
-        BLAS-backed matmul is *not* bit-stable against the equivalent
-        row-at-a-time products — see ``ANNUnifiedEstimator``.)
+        drift would make a placement depend on which call filled it.
+        (Notably, pushing a multi-row matrix through a BLAS-backed matmul
+        is *not* bit-stable against the equivalent row-at-a-time
+        products — see ``ANNUnifiedEstimator``.)
         """
         return np.fromiter(
             (self.footprint_gb(name, float(data))
