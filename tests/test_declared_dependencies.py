@@ -66,10 +66,6 @@ def declared_dependencies() -> list[str]:
     return [name.lower().replace("-", "_") for name in names]
 
 
-def test_declared_dependencies_are_parsed():
-    assert declared_dependencies() == ["numpy", "scipy"]
-
-
 def test_modules_and_suite_training_need_only_declared_dependencies():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run(
