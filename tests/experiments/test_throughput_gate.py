@@ -61,7 +61,7 @@ class TestCiTierGate:
         committed = json.loads((ROOT / "BENCH_throughput.json").read_text())
         assert gate(committed, committed) == []
         assert set(committed["tiers"]["ci"]) == {"scenario", "vector"}
-        # The PR 6 tentpole acceptance, recorded when the per-object
+        # The array kernel's acceptance, recorded when the per-object
         # kernel still existed: the mega tier ran several times its
         # events/sec at the same commit, bit for bit.
         assert committed["tiers"]["mega"]["vector_speedup"] >= 5.0
