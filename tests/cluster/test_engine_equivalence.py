@@ -2,32 +2,38 @@
 
 The event-driven engine claims to *replay* the fixed-step trajectory while
 skipping the steps at which nothing can change.  These tests pin that
-claim on the seed scenario mixes: makespans, per-application turnarounds
-and utilisation aggregates must agree (the acceptance tolerance is 2 %,
-but the grid-aligned design makes them match to floating-point noise).
+claim on the seed scenario mixes under every registered scheme:
+makespans, per-application turnarounds and utilisation aggregates must
+agree (the acceptance tolerance is 2 %, but the grid-aligned design makes
+them match to floating-point noise).
 """
 
 import math
+from types import SimpleNamespace
 
 import pytest
 
 from repro.cluster import Cluster, ClusterSimulator
 from repro.cluster.engine import STEP_MODES, EventDrivenEngine, make_engine
+from repro.core.moe import MixtureOfExperts
+from repro.core.training import collect_training_data
 from repro.scheduling import (
-    IsolatedScheduler,
     OnlineSearchScheduler,
     PairwiseScheduler,
     make_oracle_scheduler,
 )
+from repro.scheduling.registry import build_scheduler, scheme_names
+from repro.spark.driver import DynamicAllocationPolicy
 from repro.workloads import Job
 from repro.workloads.mixes import make_scenario_mixes
 
-SCHEDULERS = {
-    "pairwise": PairwiseScheduler,
-    "isolated": IsolatedScheduler,
-    "online_search": OnlineSearchScheduler,
-    "oracle": make_oracle_scheduler,
-}
+
+@pytest.fixture(scope="module")
+def artefacts():
+    """The trained artefacts the learned schemes need, built once."""
+    dataset = collect_training_data(seed=0)
+    return SimpleNamespace(dataset=dataset,
+                           moe=MixtureOfExperts.from_dataset(dataset))
 
 
 def simulate(step_mode, factory, jobs, n_nodes=40, **kwargs):
@@ -37,12 +43,18 @@ def simulate(step_mode, factory, jobs, n_nodes=40, **kwargs):
 
 
 class TestGoldenEquivalence:
-    @pytest.mark.parametrize("scheme", sorted(SCHEDULERS))
+    @pytest.mark.parametrize("scheme", sorted(scheme_names()))
     @pytest.mark.parametrize("scenario", ["L1", "L3", "L5"])
-    def test_seed_scenario_mixes_match(self, scheme, scenario):
+    def test_seed_scenario_mixes_match(self, scheme, scenario, artefacts):
         mix = make_scenario_mixes(scenario, n_mixes=1, seed=11)[0]
-        fixed = simulate("fixed", SCHEDULERS[scheme], mix)
-        event = simulate("event", SCHEDULERS[scheme], mix)
+
+        def factory():
+            # ``learned`` takes no default policy; the rest default to this.
+            return build_scheduler(scheme, artefacts,
+                                   allocation_policy=DynamicAllocationPolicy())
+
+        fixed = simulate("fixed", factory, mix)
+        event = simulate("event", factory, mix)
 
         assert fixed.all_finished() and event.all_finished()
         # Acceptance bound: within 2 % — in practice they are identical.
