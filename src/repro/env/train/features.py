@@ -241,11 +241,17 @@ class CandidateRowCache:
     The assembled matrix is bit-identical to the uncached one, and
     :func:`candidate_features` stays in-tree as the oracle the parity
     tests compare against.
-    """
 
-    #: Feature columns owned by the cache: the placement block minus the
-    #: global ``node_free_rank`` (col 11), which is recomputed per call.
-    _CACHED_COLS = (8, 9, 10, 12, 13, 14, 15, 16, 17, 18, 19)
+    Layout: one flat table whose row 0 is the ``skip`` row and whose row
+    ``1 + slot * n_fracs + f`` is the (node ``slot``, fraction ``f``)
+    candidate, with a matching slot table and a cached per-candidate
+    admission mask (everything but the job's CPU check).
+    A sub-decision is then one mask, one ``take`` per table, and one
+    write of the decision-wide block.  The columns a booking cannot move
+    (``node_ram``, ``node_speed``, ``frac``) are written once; one
+    routine over a basic slice of nodes writes the rest, for the initial
+    fill and for a booked node alike.
+    """
 
     def __init__(self, snapshot: EpochSnapshot,
                  config: FeatureConfig) -> None:
@@ -254,36 +260,53 @@ class CandidateRowCache:
         self.fractions = np.asarray(config.fractions, dtype=np.float64)
         n_nodes = snapshot.free_gb.shape[0]
         n_fracs = self.fractions.shape[0]
-        self._rows = np.zeros((n_nodes, n_fracs, N_FEATURES),
-                              dtype=np.float64)
-        self._budgets = np.empty((n_nodes, n_fracs), dtype=np.float64)
-        if n_nodes:
-            self._refresh(np.arange(n_nodes))
+        self._table = np.zeros((1 + n_nodes * n_fracs, N_FEATURES),
+                               dtype=np.float64)
+        self._table[0, 0] = 1.0
+        #: Node slot of each table row: ``(row - 1) // n_fracs``, -1 on skip.
+        self._slot_of = np.arange(-1, n_nodes * n_fracs,
+                                  dtype=np.int64) // n_fracs
+        self._rows = self._table[1:].reshape(n_nodes, n_fracs, N_FEATURES)
+        self._rows[:, :, 8] = snapshot.ram_gb[:, None] / 100.0
+        self._rows[:, :, 16] = snapshot.speed[:, None]
+        self._rows[:, :, 17] = self.fractions
+        #: Memory fraction of each table row (0 on skip): the ``frac`` column.
+        self._fraction_of = self._table[:, 17]
+        self._safe_ram = np.maximum(snapshot.ram_gb, 1e-9)[:, None]
+        #: The budget clears ``min_budget_gb``; since no fraction exceeds
+        #: 1, a budget never exceeds its node's free memory, so this also
+        #: implies the node-level ``free_gb >= min_budget_gb`` check.
+        self._placeable = np.empty((n_nodes, n_fracs), dtype=bool)
+        #: ``cpu_free + 1e-9``: the CPU headroom a job's load must fit.
+        self._cpu_room = np.empty(n_nodes, dtype=np.float64)
+        #: Per-call admission mask over the table; the skip row is always in.
+        self._admit = np.ones(1 + n_nodes * n_fracs, dtype=bool)
+        self._admit_grid = self._admit[1:].reshape(n_nodes, n_fracs)
+        self._refresh(0, n_nodes)
 
-    def _refresh(self, slots: np.ndarray) -> None:
-        """Recompute the cached rows of ``slots`` from the snapshot."""
+    def _refresh(self, lo: int, hi: int) -> None:
+        """Recompute what a booking can move for nodes ``lo:hi``."""
         snap = self.snapshot
-        fractions = self.fractions
-        ram = snap.ram_gb[slots]
-        free = snap.free_gb[slots]
-        budgets = free[:, None] * fractions[None, :]
-        self._budgets[slots] = budgets
-        rows = self._rows
-        rows[slots, :, 8] = (ram / 100.0)[:, None]
-        rows[slots, :, 9] = (free / 100.0)[:, None]
-        rows[slots, :, 10] = (free / np.maximum(ram, 1e-9))[:, None]
-        rows[slots, :, 12] = snap.cpu_free[slots, None]
-        rows[slots, :, 13] = (snap.execs[slots] / 4.0)[:, None]
-        rows[slots, :, 14] = (snap.execs[slots] == 0)[:, None]
-        rows[slots, :, 15] = (snap.execs[slots] == 1)[:, None]
-        rows[slots, :, 16] = snap.speed[slots, None]
-        rows[slots, :, 17] = fractions[None, :]
-        rows[slots, :, 18] = budgets / 100.0
-        rows[slots, :, 19] = budgets / np.maximum(ram, 1e-9)[:, None]
+        free = snap.free_gb[lo:hi, None]
+        execs = snap.execs[lo:hi, None]
+        safe_ram = self._safe_ram[lo:hi]
+        budgets = free * self.fractions
+        np.greater_equal(budgets, self.config.min_budget_gb,
+                         out=self._placeable[lo:hi])
+        np.add(snap.cpu_free[lo:hi], 1e-9, out=self._cpu_room[lo:hi])
+        rows = self._rows[lo:hi]
+        rows[:, :, 9] = free / 100.0
+        rows[:, :, 10] = free / safe_ram
+        rows[:, :, 12] = snap.cpu_free[lo:hi, None]
+        rows[:, :, 13] = execs / 4.0
+        rows[:, :, 14] = execs == 0
+        rows[:, :, 15] = execs == 1
+        rows[:, :, 18] = budgets / 100.0
+        rows[:, :, 19] = budgets / safe_ram
 
     def invalidate(self, slot: int) -> None:
         """Mark one node's rows stale after a booking touched it."""
-        self._refresh(np.array([slot]))
+        self._refresh(slot, slot + 1)
 
     def candidate_features(self, job: JobCand,
                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -292,34 +315,26 @@ class CandidateRowCache:
         Same contract (and same bits) as module-level
         :func:`candidate_features` on the cache's snapshot.
         """
-        snap, config = self.snapshot, self.config
-        node_ok = ((snap.free_gb >= config.min_budget_gb)
-                   & (job.cpu_load <= snap.cpu_free + 1e-9))
-        ok = node_ok[:, None] & (self._budgets >= config.min_budget_gb)
-        slots, fracs = np.nonzero(ok)
-        n_cands = slots.shape[0]
-        features = np.zeros((1 + n_cands, N_FEATURES), dtype=np.float64)
-        if n_cands:
-            features[1:] = self._rows[slots, fracs]
-            free = snap.free_gb[slots]
-            max_free = float(snap.free_gb.max())
-            features[1:, 11] = free / max(max_free, 1e-9)
+        snap = self.snapshot
+        np.logical_and((job.cpu_load <= self._cpu_room)[:, None],
+                       self._placeable, out=self._admit_grid)
+        index = self._admit.nonzero()[0]
+        features = self._table.take(index, axis=0)
+        cand_slots = self._slot_of.take(index)
+        cand_fractions = self._fraction_of.take(index)
         desired = max(job.desired, 1)
-        total_free = float(snap.free_gb.sum())
-        features[:, 1] = job.input_gb / 100.0
-        features[:, 2] = job.unassigned_gb / max(job.input_gb, 1e-9)
-        features[:, 3] = job.cpu_load
-        features[:, 4] = job.active / desired
-        features[:, 5] = (job.desired - job.active) / desired
-        features[:, 6] = len(snap.jobs) / 10.0
-        features[:, 7] = total_free / max(snap.total_ram, 1e-9)
-        features[0, 0] = 1.0
-        cand_slots = np.empty(1 + n_cands, dtype=np.int64)
-        cand_slots[0] = -1
-        cand_slots[1:] = slots
-        cand_fractions = np.empty(1 + n_cands, dtype=np.float64)
-        cand_fractions[0] = 0.0
-        cand_fractions[1:] = self.fractions[fracs]
+        features[:, 1:8] = (
+            job.input_gb / 100.0,
+            job.unassigned_gb / max(job.input_gb, 1e-9),
+            job.cpu_load,
+            job.active / desired,
+            (job.desired - job.active) / desired,
+            len(snap.jobs) / 10.0,
+            float(snap.free_gb.sum()) / max(snap.total_ram, 1e-9))
+        if index.shape[0] > 1:
+            max_free = float(snap.free_gb.max())
+            features[1:, 11] = (snap.free_gb.take(cand_slots[1:])
+                                / max(max_free, 1e-9))
         return features, cand_slots, cand_fractions
 
 

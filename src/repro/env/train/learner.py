@@ -32,6 +32,9 @@ from pathlib import Path
 
 import numpy as np
 
+from repro._checks import require_finite, require_integer
+from repro.cluster.engine import STEP_MODES
+from repro.env.environment import REWARD_KINDS
 from repro.scenarios.registry import load_scenario
 
 from .features import FeatureConfig
@@ -46,6 +49,18 @@ __all__ = ["TrainConfig", "IterationStats", "TrainResult", "Adam",
 #: into chunked matrix products (the fast default), ``"rows"`` is the
 #: row-at-a-time bit-stability oracle.
 UPDATE_MODES = ("gemm", "rows")
+
+
+def _int_tuple(name: str, values) -> tuple[int, ...]:
+    """``values`` as a tuple, each entry checked to be an integer."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise ValueError(f"{name} must be a sequence of integers, "
+                         f"got {values!r}") from None
+    for i, value in enumerate(values):
+        require_integer(f"{name}[{i}]", value)
+    return values
 
 
 @dataclass(frozen=True)
@@ -94,22 +109,43 @@ class TrainConfig:
     update_mode: str = "gemm"
 
     def __post_init__(self) -> None:
-        if self.iters < 1:
-            raise ValueError("iters must be at least 1")
-        if self.episodes_per_iter < 1:
-            raise ValueError("episodes_per_iter must be at least 1")
-        if self.eval_every < 1:
-            raise ValueError("eval_every must be at least 1")
+        object.__setattr__(self, "hidden", _int_tuple("hidden", self.hidden))
+        if any(width < 1 for width in self.hidden):
+            raise ValueError(f"hidden widths must be positive, got "
+                             f"{self.hidden!r}")
+        for name in ("iters", "episodes_per_iter", "eval_every",
+                     "max_steps", "workers"):
+            value = getattr(self, name)
+            require_integer(name, value)
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value!r}")
+        require_integer("seed", self.seed)
+        if self.eval_seed is not None:
+            require_integer("eval_seed", self.eval_seed)
+        if self.episode_seeds is not None:
+            seeds = _int_tuple("episode_seeds", self.episode_seeds)
+            if not seeds:
+                raise ValueError("episode_seeds must not be empty "
+                                 "(None derives them from seed)")
+            object.__setattr__(self, "episode_seeds", seeds)
+        for name in ("lr", "lr_min", "entropy_beta", "entropy_beta_min",
+                     "grad_clip"):
+            require_finite(name, getattr(self, name))
+        if self.grad_clip < 0:
+            raise ValueError(f"grad_clip must be non-negative (0 disables "
+                             f"clipping), got {self.grad_clip!r}")
+        if self.reward not in REWARD_KINDS:
+            raise ValueError(f"unknown reward {self.reward!r} "
+                             f"(expected one of {REWARD_KINDS})")
+        if self.engine not in STEP_MODES:
+            raise ValueError(f"unknown engine {self.engine!r} "
+                             f"(expected one of {STEP_MODES})")
         if self.obs_mode not in ("dataclass", "features"):
             raise ValueError(f"unknown obs_mode {self.obs_mode!r} "
                              "(expected 'dataclass' or 'features')")
         if self.update_mode not in UPDATE_MODES:
             raise ValueError(f"unknown update_mode {self.update_mode!r} "
                              f"(expected one of {UPDATE_MODES})")
-        object.__setattr__(self, "hidden", tuple(self.hidden))
-        if self.episode_seeds is not None:
-            object.__setattr__(self, "episode_seeds",
-                               tuple(self.episode_seeds))
 
     def resolved_episode_seeds(self) -> tuple[int, ...]:
         """The environment seeds one iteration's batch cycles over."""
@@ -161,9 +197,6 @@ class TrainConfig:
         """
         kwargs = dict(payload)
         kwargs.pop("kernel", None)
-        kwargs["hidden"] = tuple(kwargs["hidden"])
-        if kwargs.get("episode_seeds") is not None:
-            kwargs["episode_seeds"] = tuple(kwargs["episode_seeds"])
         kwargs.setdefault("update_mode", "rows")
         return cls(**kwargs)
 
@@ -433,6 +466,15 @@ class ReinforceLearner:
         Python loop.  Numerically equal to the rows oracle within float
         tolerance, not bitwise (BLAS matmuls reassociate across
         batching), which is why rows stays the reproducibility oracle.
+
+        The chunk boundaries and every BLAS operand shape fix the bits,
+        so they never change; what is free to change is where results
+        land.  The stacked input, the activations and the deltas live in
+        buffers sized once for the largest chunk and written through
+        ``out=``; the tanh derivative ``1 - a*a`` overwrites its spent
+        activation; the output layer's ``delta @ W.T`` has inner
+        dimension 1, so it is the elementwise product ``delta * W[:, 0]``
+        — one rounding either way.
         """
         decisions: list[np.ndarray] = []
         choices: list[int] = []
@@ -445,9 +487,7 @@ class ReinforceLearner:
         if not decisions:
             return 0.0, 0
 
-        model = self.model
-        weights, biases = model.weights, model.biases
-        entropy_sum = 0.0
+        chunks = []
         start = 0
         while start < len(decisions):
             stop = start
@@ -457,23 +497,32 @@ class ReinforceLearner:
                     or rows + decisions[stop].shape[0] <= self.GEMM_CHUNK_ROWS):
                 rows += decisions[stop].shape[0]
                 stop += 1
+            chunks.append((start, stop, rows))
+            start = stop
+
+        weights, biases = self.model.weights, self.model.biases
+        max_rows = max(rows for _, _, rows in chunks)
+        stack = np.empty((max_rows, weights[0].shape[0]))
+        hidden = [np.empty((max_rows, w.shape[1])) for w in weights[:-1]]
+        deltas = [np.empty((max_rows, w.shape[0])) for w in weights[1:]]
+        logit_buf = np.empty(max_rows)
+        entropy_sum = 0.0
+        for start, stop, rows in chunks:
             chunk = decisions[start:stop]
             lengths = np.array([f.shape[0] for f in chunk], dtype=np.int64)
             offsets = np.concatenate(([0], np.cumsum(lengths)[:-1]))
             adv = np.asarray(advantages[start:stop], dtype=np.float64)
             choice_pos = offsets + np.asarray(choices[start:stop],
                                               dtype=np.int64)
-            stacked = np.concatenate(chunk, axis=0)
 
-            acts = [stacked]
-            h = stacked
-            for w, b in zip(weights[:-1], biases[:-1]):
-                z = h @ w
+            acts = [np.concatenate(chunk, axis=0, out=stack[:rows])]
+            for w, b, buf in zip(weights[:-1], biases[:-1], hidden):
+                z = np.matmul(acts[-1], w, out=buf[:rows])
                 z += b
                 np.tanh(z, out=z)
-                h = z
-                acts.append(h)
-            logits = h @ weights[-1][:, 0]
+                acts.append(z)
+            logits = np.matmul(acts[-1], weights[-1][:, 0],
+                               out=logit_buf[:rows])
             logits += biases[-1][0]
 
             # Segment-wise stable log-softmax over the flat logit vector.
@@ -503,10 +552,16 @@ class ReinforceLearner:
                 dw += a.T @ delta
                 db += delta.sum(axis=0)
                 if layer > 0:
-                    next_delta = delta @ weights[layer].T
-                    next_delta *= 1.0 - a * a
+                    next_delta = deltas[layer - 1][:rows]
+                    if layer == len(weights) - 1:
+                        np.multiply(delta, weights[layer][:, 0],
+                                    out=next_delta)
+                    else:
+                        np.matmul(delta, weights[layer].T, out=next_delta)
+                    np.multiply(a, a, out=a)
+                    np.subtract(1.0, a, out=a)
+                    next_delta *= a
                     delta = next_delta
-            start = stop
         n_decisions = len(decisions)
         return entropy_sum / n_decisions, n_decisions
 

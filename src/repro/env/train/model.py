@@ -77,8 +77,12 @@ class PolicyNetwork:
         """Logits for a ``(K, N_FEATURES)`` candidate matrix."""
         h = features
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = np.tanh(h @ w + b)
-        return (h @ self.weights[-1] + self.biases[-1])[:, 0]
+            h = h @ w
+            h += b
+            np.tanh(h, out=h)
+        logits = h @ self.weights[-1]
+        logits += self.biases[-1]
+        return logits[:, 0]
 
     def forward_cached(self, features: np.ndarray,
                        ) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -130,9 +134,9 @@ class PolicyNetwork:
     def sample_action(self, features: np.ndarray,
                       rng: np.random.Generator) -> int:
         """Sample a candidate via inverse-CDF on one uniform draw."""
-        probs = self.distribution(features)
-        return int(np.searchsorted(np.cumsum(probs), rng.random(),
-                                   side="right").clip(0, probs.shape[0] - 1))
+        cumulative = self.distribution(features).cumsum()
+        return min(int(cumulative.searchsorted(rng.random(), side="right")),
+                   cumulative.shape[0] - 1)
 
     # ------------------------------------------------------------------
     # checkpoint I/O

@@ -190,20 +190,23 @@ def decide_epoch(snapshot: EpochSnapshot, model: PolicyNetwork,
                                                   allocation_policy, config)
             if fallback is None:
                 break
-            placements.append(fallback)
+            placement, slot = fallback
+            placements.append(placement)
             if cache is not None:
-                # The fallback booked a node without reporting its slot;
-                # fallbacks are rare (untrained/degenerate policies), so
-                # a full cache rebuild is the simple bit-safe refresh.
-                cache = CandidateRowCache(snapshot, config)
+                cache.invalidate(slot)
             # A fallback changes the state; run another pass so the
             # decision stays a fixed point of the final state.
     return placements
 
 
 def _anti_starvation_placement(snapshot: EpochSnapshot, allocation_policy,
-                               config) -> tuple[str, int, float, float] | None:
-    """One forced first executor for the first starved ready job, if any."""
+                               config,
+                               ) -> tuple[tuple[str, int, float, float],
+                                          int] | None:
+    """One forced first executor for the first starved ready job, if any.
+
+    Returns the placement and the snapshot slot it booked.
+    """
     for job in snapshot.jobs:
         if job.active > 0 or job.unassigned_gb <= 1e-6:
             continue
@@ -218,7 +221,7 @@ def _anti_starvation_placement(snapshot: EpochSnapshot, allocation_policy,
         snapshot.book(slot, budget, job.cpu_load)
         job.unassigned_gb -= data
         job.active += 1
-        return (job.name, int(snapshot.node_ids[slot]), budget, data)
+        return (job.name, int(snapshot.node_ids[slot]), budget, data), slot
     return None
 
 

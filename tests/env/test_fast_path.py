@@ -17,8 +17,15 @@ from hypothesis import strategies as st
 
 from repro.env import FeatureObservation, SchedulingEnv, rollout
 from repro.env.policies import PolicyAdapter
-from repro.env.train import LearnedPolicy, ReinforceLearner, TrainConfig
+from repro.env.train import (
+    LearnedPolicy,
+    PolicyNetwork,
+    ReinforceLearner,
+    TrainConfig,
+    scheme,
+)
 from repro.env.train.features import (
+    N_FEATURES,
     CandidateRowCache,
     EpochSnapshot,
     FeatureConfig,
@@ -27,15 +34,19 @@ from repro.env.train.features import (
     snapshot_from_observation,
 )
 from repro.env.train.learner import UPDATE_MODES, IterationStats
-from repro.env.train.workers import EpisodeCollector, EpisodeSpec
+from repro.env.train.workers import (
+    EpisodeCollector,
+    EpisodeSpec,
+    collect_episode,
+)
 
 
 def run_learned(scenario: str, seed: int, obs_mode: str, *,
-                sample_seed=None):
+                sample_seed=None, model=None):
     """One learned-policy episode; returns (steps, stp, rewards, trace)."""
     rng = (np.random.default_rng(sample_seed)
            if sample_seed is not None else None)
-    policy = LearnedPolicy(record_trace=True, sample_rng=rng,
+    policy = LearnedPolicy(model=model, record_trace=True, sample_rng=rng,
                            row_cache=(obs_mode == "features"))
     result = rollout(scenario, policy, seed=seed,
                      record_rewards=True, obs_mode=obs_mode,
@@ -72,6 +83,34 @@ class TestFastObservationParity:
             "churn20", 11, "dataclass", sample_seed=sample_seed)
         steps_f, stp_f, rewards_f, trace_f = run_learned(
             "churn20", 11, "features", sample_seed=sample_seed)
+        assert steps_o == steps_f
+        assert stp_o == stp_f
+        assert rewards_o == rewards_f
+        assert_traces_equal(trace_o, trace_f)
+
+    def test_sampled_untrained_episode_is_bit_identical(self, monkeypatch):
+        # An untrained network starves jobs now and then, so the
+        # anti-starvation fallback books a node outside the policy's
+        # choices; the row cache must refresh that node like any other.
+        fallbacks = []
+        placement = scheme._anti_starvation_placement
+
+        def counted(*args):
+            booked = placement(*args)
+            if booked is not None:
+                fallbacks.append(booked)
+            return booked
+
+        monkeypatch.setattr(scheme, "_anti_starvation_placement", counted)
+        model = PolicyNetwork(seed=0)
+        sample_seed = (3, 0, 16)
+        steps_o, stp_o, rewards_o, trace_o = run_learned(
+            "churn20", 11, "dataclass", sample_seed=sample_seed, model=model)
+        assert fallbacks, "the case must exercise the fallback"
+        fallbacks.clear()
+        steps_f, stp_f, rewards_f, trace_f = run_learned(
+            "churn20", 11, "features", sample_seed=sample_seed, model=model)
+        assert fallbacks, "the case must exercise the fallback"
         assert steps_o == steps_f
         assert stp_o == stp_f
         assert rewards_o == rewards_f
@@ -300,3 +339,137 @@ class TestGemmUpdate:
                            lr=0.01, entropy_beta=0.0,
                            collect_s=9.0, eval_s=3.0)
         assert a == b, "timing fields are observability, not identity"
+
+
+def reference_accumulate_gemm(model, trajectories, episode_advantages, beta,
+                              chunk_rows):
+    """The gemm accumulation as first written, one fresh array per op.
+
+    Same chunks, same BLAS operand shapes; the learner's version writes
+    into reused buffers and in place, and must return these bits.
+    """
+    grads = model.zero_grads()
+    decisions, choices, advantages = [], [], []
+    for advantage, trajectory in zip(episode_advantages, trajectories):
+        for features, choice in trajectory.decisions:
+            decisions.append(features)
+            choices.append(choice)
+            advantages.append(float(advantage))
+    weights, biases = model.weights, model.biases
+    entropy_sum = 0.0
+    start = 0
+    while start < len(decisions):
+        stop = start
+        rows = 0
+        while stop < len(decisions) and (
+                rows == 0 or rows + decisions[stop].shape[0] <= chunk_rows):
+            rows += decisions[stop].shape[0]
+            stop += 1
+        chunk = decisions[start:stop]
+        lengths = np.array([f.shape[0] for f in chunk], dtype=np.int64)
+        offsets = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+        adv = np.asarray(advantages[start:stop], dtype=np.float64)
+        choice_pos = offsets + np.asarray(choices[start:stop], dtype=np.int64)
+        stacked = np.concatenate(chunk, axis=0)
+        acts = [stacked]
+        h = stacked
+        for w, b in zip(weights[:-1], biases[:-1]):
+            z = h @ w
+            z += b
+            np.tanh(z, out=z)
+            h = z
+            acts.append(h)
+        logits = h @ weights[-1][:, 0]
+        logits += biases[-1][0]
+        rep = np.repeat(np.arange(len(chunk)), lengths)
+        shifted = logits
+        shifted -= np.maximum.reduceat(logits, offsets)[rep]
+        probs = np.exp(shifted)
+        seg_sum = np.add.reduceat(probs, offsets)
+        probs /= seg_sum[rep]
+        logp = shifted
+        logp -= np.log(seg_sum)[rep]
+        entropy = -np.add.reduceat(probs * logp, offsets)
+        entropy_sum += float(entropy.sum())
+        dlogits = adv[rep] * probs
+        dlogits[choice_pos] -= adv
+        entropy_term = logp
+        entropy_term += entropy[rep]
+        entropy_term *= probs
+        entropy_term *= beta
+        dlogits += entropy_term
+        delta = dlogits[:, None]
+        for layer in range(len(weights) - 1, -1, -1):
+            a = acts[layer]
+            dw, db = grads[layer]
+            dw += a.T @ delta
+            db += delta.sum(axis=0)
+            if layer > 0:
+                next_delta = delta @ weights[layer].T
+                next_delta *= 1.0 - a * a
+                delta = next_delta
+        start = stop
+    return entropy_sum / len(decisions), len(decisions), grads
+
+
+@pytest.fixture(scope="module")
+def churn20_iteration():
+    """A learner and the trajectories of its first churn20 iteration."""
+    config = TrainConfig(iters=1, seed=11)
+    learner = ReinforceLearner("churn20", config)
+    trajectories = [
+        collect_episode(learner.spec, learner.model,
+                        EpisodeSpec(seed, (config.seed, 0, episode)))
+        for episode, seed in enumerate(config.resolved_episode_seeds())]
+    return learner, trajectories
+
+
+class TestGemmUpdateBits:
+    """The gemm accumulation keeps the bits of its allocate-per-op form."""
+
+    @pytest.mark.parametrize("chunk_rows", [None, 50],
+                             ids=["default_chunks", "one_decision_chunks"])
+    @pytest.mark.parametrize("beta", [0.005, -0.08])
+    def test_gradients_and_entropy_are_bit_identical(self, churn20_iteration,
+                                                     monkeypatch, beta,
+                                                     chunk_rows):
+        learner, trajectories = churn20_iteration
+        if chunk_rows is not None:
+            # Most decisions exceed 50 rows, so each is a chunk of its own.
+            monkeypatch.setattr(learner, "GEMM_CHUNK_ROWS", chunk_rows)
+        rows = sum(f.shape[0] for t in trajectories for f, _ in t.decisions)
+        assert rows > 2 * learner.GEMM_CHUNK_ROWS, "needs several chunks"
+        advantages = np.linspace(-1.5, 1.25, len(trajectories))
+        want_entropy, want_n, want = reference_accumulate_gemm(
+            learner.model, trajectories, advantages, beta,
+            learner.GEMM_CHUNK_ROWS)
+        grads = learner.model.zero_grads()
+        entropy, n_decisions = learner._accumulate_gemm(
+            trajectories, advantages, beta, grads)
+        assert n_decisions == want_n
+        assert entropy == want_entropy
+        for layer, ((dw, db), (want_dw, want_db)) in enumerate(
+                zip(grads, want)):
+            assert np.array_equal(dw, want_dw), f"dW{layer} differs"
+            assert np.array_equal(db, want_db), f"db{layer} differs"
+
+
+class TestSampleAction:
+    def test_draw_past_the_last_cumulative_probability_picks_the_last(self):
+        # Rounding can leave the cumulative probabilities ending just
+        # below 1.0; a uniform draw at or above that end must still
+        # select a candidate: the last one.
+        model = PolicyNetwork(seed=0)
+        features = np.random.default_rng(0).random((5, N_FEATURES))
+        last = model.distribution(features).cumsum()[-1]
+        assert last < 1.0, "the case needs a cumulative sum ending below 1"
+
+        class Draw:
+            def __init__(self, value):
+                self.value = value
+
+            def random(self):
+                return self.value
+
+        for value in (float(last), float(np.nextafter(1.0, 0.0))):
+            assert model.sample_action(features, Draw(value)) == 4

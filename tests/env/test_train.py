@@ -8,6 +8,8 @@ itself: convergence on a small budget, checkpoint round-trips,
 end-to-end determinism, and the env/native serving parity.
 """
 
+import math
+
 import pytest
 
 from repro.api import ExperimentPlan, Session
@@ -136,6 +138,48 @@ class TestLearnedSchemeIntegration:
         native = evaluate_schedule(simulator.run(jobs), jobs, policy)
         episode = rollout("L1", LearnedPolicy(), seed=7)
         assert episode.stp == native.stp
+
+
+class TestTrainConfigValidation:
+    """A bad hyperparameter fails at construction, naming its field."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("lr", math.nan),
+        ("lr_min", math.inf),
+        ("entropy_beta", math.nan),
+        ("entropy_beta_min", True),
+        ("grad_clip", math.nan),
+        ("grad_clip", -1.0),
+        ("iters", True),
+        ("episodes_per_iter", 2.0),
+        ("eval_every", True),
+        ("max_steps", 0),
+        ("max_steps", 1.5),
+        ("workers", 0),
+        ("workers", True),
+        ("seed", 1.5),
+        ("eval_seed", True),
+        ("episode_seeds", (11, 12.5)),
+        ("episode_seeds", ()),
+        ("hidden", (0,)),
+        ("hidden", (32, -1)),
+        ("hidden", (32.0,)),
+        ("reward", "nope"),
+        ("engine", "warp"),
+    ])
+    def test_bad_value_is_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+        payload = TrainConfig().to_dict()
+        payload[field] = value
+        with pytest.raises(ValueError, match=field):
+            TrainConfig.from_dict(payload)
+
+    def test_committed_curve_still_loads(self):
+        curve = TrainResult.from_json(
+            DEFAULT_CHECKPOINT.with_name("default_curve.json"))
+        assert curve.config.iters == len(curve.curve) == 150
+        assert curve.config.hidden == (32, 32)
 
 
 class TestBaselineResetContracts:
