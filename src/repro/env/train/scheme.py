@@ -153,16 +153,19 @@ def decide_epoch(snapshot: EpochSnapshot, model: PolicyNetwork,
     """
     placements: list[tuple[str, int, float, float]] = []
     config = model.feature_config
-    cache = CandidateRowCache(snapshot, config) if row_cache else None
+    # Built on first use: most epochs have no job left to decide for.
+    cache: CandidateRowCache | None = None
     while True:
         placed_in_pass = False
         for job in snapshot.jobs:
             while job.active < job.desired and job.unassigned_gb > 1e-6:
-                if cache is not None:
-                    features, slots, fracs = cache.candidate_features(job)
-                else:
+                if not row_cache:
                     features, slots, fracs = candidate_features(snapshot, job,
                                                                 config)
+                else:
+                    if cache is None:
+                        cache = CandidateRowCache(snapshot, config)
+                    features, slots, fracs = cache.candidate_features(job)
                 if features.shape[0] == 1:
                     break  # no admissible placement; skip is forced
                 if rng is None:
