@@ -26,7 +26,10 @@ path that diverges is a failure, not a win.  The churn20 learned case is
 additionally pinned to the committed checkpoint's ``BENCH_learned.json``
 evaluation.  ``benchmarks/compare_baseline.py --rollout`` gates the
 normalized ``fast_speedup`` (fast steps/sec over the same machine's
-oracle steps/sec) against the committed ``BENCH_rollout.json``.
+oracle steps/sec) against the committed ``BENCH_rollout.json``.  The
+timed repeats alternate oracle and fast episodes and keep each mode's
+fastest, so a slower or faster stretch of the host lands on both sides
+of the ratio.
 
 The committed report also carries a ``prerefactor_baseline`` section
 (``--prerefactor``): the same episodes measured at the pre-PR commit on
