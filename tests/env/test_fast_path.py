@@ -77,21 +77,11 @@ class TestFastObservationParity:
         assert rewards_o == rewards_f
         assert_traces_equal(trace_o, trace_f)
 
-    def test_sampled_episode_is_bit_identical(self):
-        sample_seed = (3, 0, 1)
-        steps_o, stp_o, rewards_o, trace_o = run_learned(
-            "churn20", 11, "dataclass", sample_seed=sample_seed)
-        steps_f, stp_f, rewards_f, trace_f = run_learned(
-            "churn20", 11, "features", sample_seed=sample_seed)
-        assert steps_o == steps_f
-        assert stp_o == stp_f
-        assert rewards_o == rewards_f
-        assert_traces_equal(trace_o, trace_f)
-
-    def test_sampled_untrained_episode_is_bit_identical(self, monkeypatch):
-        # An untrained network starves jobs now and then, so the
-        # anti-starvation fallback books a node outside the policy's
-        # choices; the row cache must refresh that node like any other.
+    def test_sampled_episode_is_bit_identical(self, monkeypatch):
+        # The committed checkpoint, then an untrained network.  The
+        # untrained one starves jobs now and then, so the anti-starvation
+        # fallback books a node outside the policy's choices; the row
+        # cache must refresh that node like any other.
         fallbacks = []
         placement = scheme._anti_starvation_placement
 
@@ -102,19 +92,23 @@ class TestFastObservationParity:
             return booked
 
         monkeypatch.setattr(scheme, "_anti_starvation_placement", counted)
-        model = PolicyNetwork(seed=0)
-        sample_seed = (3, 0, 16)
-        steps_o, stp_o, rewards_o, trace_o = run_learned(
-            "churn20", 11, "dataclass", sample_seed=sample_seed, model=model)
-        assert fallbacks, "the case must exercise the fallback"
-        fallbacks.clear()
-        steps_f, stp_f, rewards_f, trace_f = run_learned(
-            "churn20", 11, "features", sample_seed=sample_seed, model=model)
-        assert fallbacks, "the case must exercise the fallback"
-        assert steps_o == steps_f
-        assert stp_o == stp_f
-        assert rewards_o == rewards_f
-        assert_traces_equal(trace_o, trace_f)
+        for model, sample_seed in ((None, (3, 0, 1)),
+                                   (PolicyNetwork(seed=0), (3, 0, 16))):
+            fallbacks.clear()
+            steps_o, stp_o, rewards_o, trace_o = run_learned(
+                "churn20", 11, "dataclass", sample_seed=sample_seed,
+                model=model)
+            oracle_fallbacks = len(fallbacks)
+            steps_f, stp_f, rewards_f, trace_f = run_learned(
+                "churn20", 11, "features", sample_seed=sample_seed,
+                model=model)
+            assert len(fallbacks) == 2 * oracle_fallbacks
+            if model is not None:
+                assert oracle_fallbacks, "the case must exercise the fallback"
+            assert steps_o == steps_f
+            assert stp_o == stp_f
+            assert rewards_o == rewards_f
+            assert_traces_equal(trace_o, trace_f)
 
     def test_native_scheme_sees_no_behaviour_change(self):
         # PolicyAdapter epochs are scheme-bound — the observation is
