@@ -65,7 +65,7 @@ def main(argv=None) -> int:
 
     print("training predictor suite once "
           "(shared across both configurations)...")
-    session = Session(use_cache=False)
+    session = Session()
     # Training is lazy; materialise it now so neither timed grid pays for it.
     session.ensure_trained(SCHEMES)
 

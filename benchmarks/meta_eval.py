@@ -83,7 +83,7 @@ def main(argv=None) -> int:
     seeds = QUICK_SEEDS if args.quick else FULL_SEEDS
     print(f"evaluating {', '.join(SCHEMES)} on {args.scenario} "
           f"(seeds {', '.join(map(str, seeds))})...")
-    with Session(use_cache=False) as session:
+    with Session() as session:
         rows = evaluate(session, args.scenario, SCHEMES, seeds)
     for row in rows:
         print(f"  {row['scheme']:10s} STP geomean {row['stp_geomean']:.3f} "

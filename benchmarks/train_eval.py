@@ -71,7 +71,7 @@ def main(argv=None) -> int:
     learned_spec = (f"learned:{args.checkpoint}" if args.checkpoint
                     else "learned")
     rows = []
-    with Session(use_cache=False) as session:
+    with Session() as session:
         for scheme in SCHEMES:
             spec = learned_spec if scheme == "learned" else scheme
             print(f"evaluating {scheme} on {args.scenario} "

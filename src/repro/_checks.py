@@ -1,8 +1,9 @@
 """Boundary checks shared by the declarative specs.
 
 The public specs (``ScenarioSpec``, ``ArrivalSpec``, ``FaultSpec``,
-``FaultEvent``) reject a bad number where it enters, with an error that
-names the field, instead of letting it fail or hang inside a run.
+``FaultEvent``, ``ExperimentPlan``) reject a bad number where it enters,
+with an error that names the field, instead of letting it fail or hang
+inside a run.  ``error`` picks a spec's own ``ValueError`` subclass.
 """
 
 from __future__ import annotations
@@ -19,15 +20,15 @@ def is_finite_number(value) -> bool:
             and math.isfinite(value))
 
 
-def require_finite(name: str, value) -> None:
-    """Raise ``ValueError`` naming ``name`` unless ``value`` is a finite,
+def require_finite(name: str, value, error: type[ValueError] = ValueError) -> None:
+    """Raise ``error`` naming ``name`` unless ``value`` is a finite,
     non-boolean real number."""
     if not is_finite_number(value):
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
+        raise error(f"{name} must be a finite number, got {value!r}")
 
 
-def require_integer(name: str, value) -> None:
-    """Raise ``ValueError`` naming ``name`` unless ``value`` is a
+def require_integer(name: str, value, error: type[ValueError] = ValueError) -> None:
+    """Raise ``error`` naming ``name`` unless ``value`` is a
     non-boolean integer."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise error(f"{name} must be an integer, got {value!r}")

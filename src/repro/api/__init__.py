@@ -7,8 +7,7 @@ three composable pieces:
   of a comparison grid (scenarios × schemes × mixes × seed × engine ×
   workers);
 * :class:`Session` — a reusable execution context owning the trained
-  predictor artefacts (:class:`SchedulerSuite`), the ``.cache/`` suite
-  cache, and the worker pool;
+  predictor artefacts (:class:`SchedulerSuite`) and the worker pool;
 * typed results — :class:`CellResult` (streamed per grid cell, with
   per-job :class:`JobRecord` entries) and :class:`ScenarioResult`
   (aggregates with across-mix dispersion), all JSON round-trippable.
@@ -35,12 +34,6 @@ This package *is* the experiment surface: the pre-API entry points
 been retired.
 """
 
-from repro.api.cache import (
-    default_cache_dir,
-    load_or_train_suite,
-    suite_path,
-    suite_fingerprint,
-)
 from repro.api.plan import DEFAULT_SCENARIOS, ExperimentPlan, PlanError
 from repro.api.results import (
     CellResult,
@@ -115,9 +108,4 @@ __all__ = [
     "scheme_info",
     "is_registered",
     "validate_schemes",
-    # suite cache
-    "load_or_train_suite",
-    "suite_fingerprint",
-    "suite_path",
-    "default_cache_dir",
 ]

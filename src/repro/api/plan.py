@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterable
 
+from repro._checks import require_finite, require_integer
 from repro.cluster.engine import STEP_MODES
 from repro.scenarios.registry import load_scenario
 from repro.scenarios.spec import ScenarioSpec
@@ -110,10 +111,15 @@ class ExperimentPlan:
                             "(rows are keyed by name)")
         object.__setattr__(self, "scenarios", specs)
 
+        for name in ("n_mixes", "workers", "seed"):
+            require_integer(name, getattr(self, name), PlanError)
         if self.n_mixes < 1:
             raise PlanError("n_mixes must be at least 1")
         if self.workers < 1:
             raise PlanError("workers must be at least 1")
+        if self.seed < 0:
+            raise PlanError(f"seed must be non-negative, got {self.seed!r}")
+        require_finite("time_step_min", self.time_step_min, PlanError)
         if self.time_step_min <= 0:
             raise PlanError("time_step_min must be positive")
         if self.engine not in STEP_MODES:

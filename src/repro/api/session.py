@@ -4,10 +4,8 @@ A :class:`Session` owns everything that is expensive to set up and worth
 reusing across many experiment runs:
 
 * the **trained predictor artefacts** (a :class:`~repro.api.suite.SchedulerSuite`),
-  materialised lazily and only to the degree the executed plans require;
-* the **suite disk cache** under ``.cache/`` — when a plan first needs
-  trained artefacts, the session loads them from disk instead of
-  retraining (``use_cache=False`` opts out);
+  trained in-process, lazily and only to the degree the executed plans
+  require;
 * the **worker pool** — one :class:`~concurrent.futures.ProcessPoolExecutor`
   kept alive across runs and transparently rebuilt when the worker count
   changes or newly trained artefacts must be shipped to workers.
@@ -36,20 +34,14 @@ from __future__ import annotations
 import pickle
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from pathlib import Path
 from typing import Iterator
 
-from repro.api.cache import load_or_train_suite
 from repro.api.plan import ExperimentPlan
 from repro.api.results import CellResult, ScenarioResult, fold_cells, job_records
 from repro.api.suite import SchedulerSuite
 from repro.cluster.simulator import ClusterSimulator
 from repro.metrics.throughput import StreamingScheduleMetrics
-from repro.scheduling.registry import (
-    merge_registry,
-    registry_snapshot,
-    required_artefacts,
-)
+from repro.scheduling.registry import merge_registry, registry_snapshot
 from repro.spark.driver import DynamicAllocationPolicy
 
 __all__ = ["Session", "HorizonTruncationError"]
@@ -145,26 +137,14 @@ class Session:
     suite:
         Shared scheduler suite; a fresh (untrained) one is created when
         omitted.  Pass a customised suite to pin specific models.
-    use_cache:
-        Whether trained artefacts may be loaded from — and written to —
-        the ``.cache/`` suite cache when a plan first needs them.  The
-        cache is only consulted for a fully untrained suite, so explicit
-        artefacts are never silently replaced.
-    cache_dir:
-        Override of the cache directory (default: ``$REPRO_CACHE_DIR`` or
-        ``.cache/``).
 
     A session is a context manager; :meth:`close` shuts the worker pool
     down.  Using a session after ``close()`` is fine — a new pool is
     created on demand.
     """
 
-    def __init__(self, suite: SchedulerSuite | None = None,
-                 use_cache: bool = True,
-                 cache_dir: str | Path | None = None) -> None:
+    def __init__(self, suite: SchedulerSuite | None = None) -> None:
         self._suite = suite if suite is not None else SchedulerSuite()
-        self._use_cache = use_cache
-        self._cache_dir = cache_dir
         self._pool: ProcessPoolExecutor | None = None
         self._pool_workers = 0
         self._pool_artefacts: frozenset[str] = frozenset()
@@ -208,20 +188,10 @@ class Session:
     def ensure_trained(self, schemes=None) -> SchedulerSuite:
         """Materialise the artefacts the given schemes need; return the suite.
 
-        With ``schemes=None`` everything is trained.  A fully untrained
-        suite is satisfied from the disk cache when caching is enabled
-        (training and writing the cache on a miss); a partially trained
-        suite always trains in-process so its own artefacts stay
-        internally consistent.
+        With ``schemes=None`` everything is trained.  Artefacts the suite
+        already holds are kept, never retrained.
         """
-        needed = (frozenset(("dataset", "moe")) if schemes is None
-                  else required_artefacts(schemes))
-        if needed <= self._suite.materialised():
-            return self._suite
-        if self._use_cache and not self._suite.materialised():
-            self._suite.adopt(load_or_train_suite(cache_dir=self._cache_dir))
-        else:
-            self._suite.ensure_trained(schemes)
+        self._suite.ensure_trained(schemes)
         return self._suite
 
     # ------------------------------------------------------------------
@@ -289,7 +259,7 @@ class Session:
         ``policy`` is a policy name — ``"random"``, ``"greedy"``, any
         registered scheme name (run through a
         :class:`~repro.env.PolicyAdapter` sharing this session's trained
-        artefacts and disk cache), or a ``learned:<checkpoint>`` spec
+        artefacts), or a ``learned:<checkpoint>`` spec
         (served from the session-transcending checkpoint model cache,
         see :meth:`learned_model`) — or a :class:`repro.env.Policy`
         instance.  ``scenario`` resolves like everywhere else: registry
@@ -324,7 +294,7 @@ class Session:
         The learned scheme's artefact is a checkpoint file rather than a
         trained dataset/MoE, so it rides the checkpoint model cache
         (keyed by resolved path, mtime and size — an overwritten file is
-        reloaded, an unchanged one is free) instead of the suite cache.
+        reloaded, an unchanged one is free) instead of the session's suite.
         ``checkpoint=None`` resolves like the scheme itself:
         ``$REPRO_LEARNED_CHECKPOINT``, then the committed package
         default.

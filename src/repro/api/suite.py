@@ -7,12 +7,11 @@ and hands them to scheme builders registered in
 them across every simulated mix mirrors the paper's one-off offline
 training cost (Section 3.3) and keeps the experiment grid fast.
 
-Training is *lazy*: a suite used only for prediction-free schemes
-(isolated, pairwise, oracle, online search) never trains at all, and
-:func:`repro.api.cache.load_or_train_suite` can satisfy the artefacts
-from a disk cache instead.  The suite is picklable, which is how a
-:class:`repro.api.Session` ships the trained models into worker
-processes.
+Training is *lazy* and in-process: a suite used only for
+prediction-free schemes (isolated, pairwise, oracle, online search) never
+trains at all, and the full suite trains in well under a second.  The
+suite is picklable, which is how a :class:`repro.api.Session` ships the
+trained models into worker processes.
 """
 
 from __future__ import annotations
@@ -68,23 +67,6 @@ class SchedulerSuite:
         if self._moe is not None:
             kinds.add("moe")
         return frozenset(kinds)
-
-    def adopt(self, other: "SchedulerSuite") -> None:
-        """Take over another suite's materialised artefacts.
-
-        Only fills the slots this suite has not materialised itself, so a
-        caller-customised model is never silently replaced.  Used by the
-        session layer to install cache-loaded artefacts.
-        """
-        if self._dataset is None:
-            self._dataset = other._dataset
-        if self._moe is None:
-            self._moe = other._moe
-
-    @staticmethod
-    def needs_training(schemes) -> bool:
-        """Whether any of the given schemes requires trained artefacts."""
-        return bool(required_artefacts(schemes))
 
     def ensure_trained(self, schemes=None) -> None:
         """Materialise the trained artefacts the given schemes need.

@@ -9,8 +9,6 @@ package provides the equivalent simulated infrastructure:
   40-node platform plus heterogeneous fleets) used by scenario specs;
 * :mod:`repro.cluster.resource_monitor` — the per-node daemon that reports
   coarse-grained (windowed) memory and CPU usage to the coordinator;
-* :mod:`repro.cluster.yarn` — the resource-manager bookkeeping used by the
-  job dispatcher to reserve executor containers;
 * :mod:`repro.cluster.events` — the typed event bus (and retained log)
   every simulation component publishes to and subscribes on;
 * :mod:`repro.cluster.faults` — dynamic cluster events: declarative and
@@ -41,7 +39,6 @@ from repro.cluster.faults import (
     load_fault_spec,
 )
 from repro.cluster.resource_monitor import ResourceMonitor
-from repro.cluster.yarn import ContainerRequest, ResourceManager
 from repro.cluster.engine import (
     STEP_MODES,
     EventDrivenEngine,
@@ -72,8 +69,6 @@ __all__ = [
     "FaultSummary",
     "load_fault_spec",
     "ResourceMonitor",
-    "ContainerRequest",
-    "ResourceManager",
     "STEP_MODES",
     "EventDrivenEngine",
     "FixedStepEngine",

@@ -36,9 +36,7 @@ __all__ = [
     "default_training_input_sizes_gb",
 ]
 
-#: Seed of the offline profiling runs' observation noise.  Shared with the
-#: suite disk cache's fingerprint (:mod:`repro.api.cache`),
-#: so changing it invalidates cached trained models automatically.
+#: Seed of the offline profiling runs' observation noise.
 DEFAULT_TRAINING_SEED = 0
 
 

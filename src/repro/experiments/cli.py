@@ -22,10 +22,9 @@ Everything runs through the public API (:mod:`repro.api`): the CLI builds
 an :class:`~repro.api.ExperimentPlan` — scheme and scenario names are
 validated *eagerly*, with errors that list what is registered — and
 executes it in one shared :class:`~repro.api.Session`, which owns the
-trained-model disk cache under ``.cache/`` (``--no-cache`` opts out) and
-the worker pool.  ``--stream`` prints each (scenario, scheme, mix) cell
-as it completes; ``--cells-json`` exports the typed per-cell results
-(including per-job records) as JSON.
+trained models and the worker pool.  ``--stream`` prints each
+(scenario, scheme, mix) cell as it completes; ``--cells-json`` exports
+the typed per-cell results (including per-job records) as JSON.
 """
 
 from __future__ import annotations
@@ -266,7 +265,7 @@ def _run_env_rollout(args) -> int:
     spec = _resolve_scenario_spec(args)
     if spec is None:
         return 2
-    with Session(use_cache=not args.no_cache) as session:
+    with Session() as session:
         try:
             episode = session.rollout(spec, policy=args.policy,
                                       seed=args.seed, engine=args.engine,
@@ -363,7 +362,7 @@ def _run_scenario_mode(args) -> int:
         return 2
     cells = []
     try:
-        with Session(use_cache=not args.no_cache) as session:
+        with Session() as session:
             for cell in session.stream(plan):
                 cells.append(cell)
                 if args.stream:
@@ -490,9 +489,6 @@ def main(argv: list[str] | None = None) -> int:
                              "experiments fig6/fig9/fig10 and --scenario "
                              "mode; other experiments run in-process "
                              "(default: 1)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="skip the trained-model disk cache (.cache/): "
-                             "always retrain, never write")
     args = parser.parse_args(argv)
     if args.workers < 1:
         parser.error("--workers must be at least 1")
@@ -564,10 +560,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"unknown experiments: {', '.join(unknown)}", file=sys.stderr)
         return 2
 
-    with Session(use_cache=not args.no_cache) as session:
+    with Session() as session:
         # The figure experiments all read trained models; materialise them
-        # once up front (from the disk cache when allowed), exactly as the
-        # pre-API CLI did.
+        # once up front, exactly as the pre-API CLI did.
         session.ensure_trained()
         for name in requested:
             description, runner = EXPERIMENTS[name]

@@ -50,7 +50,7 @@ def run(scenarios=DEFAULT_SCENARIOS, n_mixes: int = 3, seed: int = 11,
 
     Pass an existing :class:`~repro.api.Session` to share its trained
     artefacts and worker pool; otherwise a throwaway session wraps the
-    given ``suite`` (no disk cache involved, as before).
+    given ``suite``.
     """
     grid = plan(scenarios=scenarios, n_mixes=n_mixes, seed=seed,
                 include_isolated=include_isolated,
@@ -58,7 +58,7 @@ def run(scenarios=DEFAULT_SCENARIOS, n_mixes: int = 3, seed: int = 11,
                 workers=workers)
     if session is not None:
         return session.run(grid)
-    with Session(suite=suite, use_cache=False) as own_session:
+    with Session(suite=suite) as own_session:
         return own_session.run(grid)
 
 

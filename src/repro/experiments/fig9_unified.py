@@ -43,7 +43,7 @@ def run(scenarios=DEFAULT_SCENARIOS, n_mixes: int = 3, seed: int = 11,
                           workers=workers)
     if session is not None:
         return session.run(plan)
-    with Session(suite=suite, use_cache=False) as own_session:
+    with Session(suite=suite) as own_session:
         return own_session.run(plan)
 
 

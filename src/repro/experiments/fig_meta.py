@@ -49,7 +49,7 @@ def run(scenarios=SCENARIOS, n_mixes: int = 3, seed: int = 11,
                 engine=engine, workers=workers)
     if session is not None:
         return session.run(grid)
-    with Session(suite=suite, use_cache=False) as own_session:
+    with Session(suite=suite) as own_session:
         return own_session.run(grid)
 
 

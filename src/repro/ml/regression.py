@@ -153,6 +153,15 @@ class PowerLawRegression(RegressionModel):
         return self
 
 
+#: Log grid over the bounds of the exponential family's ``b`` that
+#: brackets the best fit; neighbouring points are 0.23 apart in ``log b``.
+_EXP_LOG_B_GRID = np.linspace(np.log(1e-9), np.log(1e9), 181)
+#: Golden-section steps refining that bracket; they shrink it by
+#: 0.618**60 ≈ 3e-13, to about the float resolution of ``log b``.
+_EXP_GOLDEN_STEPS = 60
+_INV_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+
+
 class ExponentialSaturationRegression(RegressionModel):
     """Saturating exponential ``y = m * (1 - exp(-b * x))``.
 
@@ -164,33 +173,53 @@ class ExponentialSaturationRegression(RegressionModel):
     name = "exponential"
 
     def fit(self, x, y):
+        """Least-squares fit with ``m`` in ``[0.7, 1e3] × max(y)`` and
+        ``b`` in ``[1e-9, 1e9]``.
+
+        For a fixed ``b`` the best ``m`` is ``g·y / g·g`` with
+        ``g = 1 - exp(-b x)``, clipped to its bounds, so the fit is a 1-D
+        search over ``log b``: a log grid brackets the best point and
+        golden-section search refines it.
+        """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
+        if x.shape != y.shape:
+            raise ValueError("sizes and footprints must have the same shape")
         if x.size < 2:
             raise ValueError("exponential regression needs at least two samples")
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise ValueError("exponential regression requires finite samples")
         if np.any(y <= 0):
             raise ValueError("exponential regression requires positive footprints")
-        from scipy.optimize import curve_fit
-
-        def saturating(x_values, m, b):
-            return m * (1.0 - np.exp(-b * x_values))
-
         y_max = float(y.max())
-        # Initial slope from the smallest sample: y ≈ m * b * x when b*x is small.
-        smallest = int(np.argmin(x))
-        b_guess = max(y[smallest] / (y_max * max(x[smallest], 1e-9)), 1e-3)
-        try:
-            (m_fit, b_fit), _ = curve_fit(
-                saturating,
-                x,
-                y,
-                p0=(y_max * 1.05, b_guess),
-                bounds=([y_max * 0.7, 1e-9], [y_max * 1e3, 1e9]),
-                maxfev=20000,
-            )
-        except RuntimeError as exc:  # pragma: no cover - scipy convergence failure
-            raise ValueError("could not fit an exponential saturation model") from exc
-        self.m, self.b = float(m_fit), float(b_fit)
+
+        def solve(log_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            """The best ``m`` and its squared residual for each ``log b``."""
+            g = -np.expm1(-np.exp(log_b)[:, None] * x)
+            m = np.clip(g @ y / (g * g).sum(axis=1), 0.7 * y_max, 1e3 * y_max)
+            residual = m[:, None] * g - y
+            return m, (residual * residual).sum(axis=1)
+
+        def sse(log_b: float) -> float:
+            return float(solve(np.array([log_b]))[1][0])
+
+        grid = _EXP_LOG_B_GRID
+        best = int(np.argmin(solve(grid)[1]))
+        lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, grid.size - 1)]
+        c, d = hi - _INV_GOLDEN * (hi - lo), lo + _INV_GOLDEN * (hi - lo)
+        fc, fd = sse(c), sse(d)
+        for _ in range(_EXP_GOLDEN_STEPS):
+            if fc < fd:
+                hi, d, fd = d, c, fc
+                c = hi - _INV_GOLDEN * (hi - lo)
+                fc = sse(c)
+            else:
+                lo, c, fc = c, d, fd
+                d = lo + _INV_GOLDEN * (hi - lo)
+                fd = sse(d)
+        log_b = c if fc < fd else d
+        self.m = float(solve(np.array([log_b]))[0][0])
+        self.b = float(np.exp(log_b))
         return self
 
     def predict(self, x):

@@ -24,7 +24,7 @@ trained ``.dataset`` (:class:`~repro.core.training.TrainingDataset`) and
 practice a :class:`repro.api.SchedulerSuite` — plus scheduler keyword
 arguments (the scenario runner passes ``allocation_policy``), and returns
 a fresh scheduler instance.  Declaring ``requires="dataset"`` or
-``requires="moe"`` lets the session layer train (or cache-load) exactly
+``requires="moe"`` lets the session layer train exactly
 the artefacts a plan needs before fanning out to worker processes.
 
 All of the paper's schemes are registered here at import time, in the

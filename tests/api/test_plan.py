@@ -57,9 +57,15 @@ class TestValidation:
     @pytest.mark.parametrize("overrides", [
         {"n_mixes": 0}, {"workers": 0}, {"time_step_min": 0.0},
         {"engine": "warp"},
+        {"n_mixes": 2.5}, {"n_mixes": True},
+        {"workers": True}, {"workers": 1.5},
+        {"seed": 1.5}, {"seed": True}, {"seed": -1},
+        {"time_step_min": float("nan")}, {"time_step_min": float("inf")},
+        {"time_step_min": True},
     ])
     def test_bad_execution_knobs_rejected(self, overrides):
-        with pytest.raises(PlanError):
+        [field] = overrides
+        with pytest.raises(PlanError, match=field):
             ExperimentPlan(schemes=("oracle",), scenarios=("L1",),
                            **overrides)
 

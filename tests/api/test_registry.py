@@ -83,7 +83,7 @@ class TestRoundTrip:
     def test_registered_scheme_runs_through_a_session(self, temp_scheme):
         plan = ExperimentPlan(schemes=(temp_scheme,), scenarios=("L1",),
                               n_mixes=1)
-        with Session(use_cache=False) as session:
+        with Session() as session:
             [row] = session.run(plan)
         assert row.scheme == temp_scheme
         assert row.stp_geomean > 0
@@ -126,7 +126,7 @@ class TestWorkerRegistryShipping:
     def test_registered_scheme_runs_through_worker_processes(self, temp_scheme):
         plan = ExperimentPlan(schemes=(temp_scheme,), scenarios=("L1",),
                               n_mixes=2, workers=2)
-        with Session(use_cache=False) as session:
+        with Session() as session:
             [row] = session.run(plan)
         assert row.scheme == temp_scheme and row.n_mixes == 2
 

@@ -65,7 +65,7 @@ class TestJsonRoundTrip:
     def test_simulated_cells_round_trip_bit_for_bit(self):
         plan = ExperimentPlan(schemes=("pairwise",), scenarios=("L1",),
                               n_mixes=2)
-        with Session(use_cache=False) as session:
+        with Session() as session:
             cells = list(session.stream(plan))
         assert cells_from_json(cells_to_json(cells)) == cells
 

@@ -1,4 +1,4 @@
-"""Tests for Session: streaming, worker invariance, pool and cache ownership."""
+"""Tests for Session: streaming, worker invariance, pool and training ownership."""
 
 import pytest
 
@@ -19,7 +19,7 @@ def _cell_key(cell: CellResult):
 
 @pytest.fixture(scope="module")
 def session():
-    with Session(use_cache=False) as shared:
+    with Session() as shared:
         yield shared
 
 
@@ -109,7 +109,7 @@ class TestPoolOwnership:
     def test_pool_is_reused_across_runs_and_rebuilt_on_resize(self):
         plan = ExperimentPlan(schemes=("pairwise",), scenarios=("L1",),
                               n_mixes=1, workers=2)
-        with Session(use_cache=False) as session:
+        with Session() as session:
             session.run(plan)
             first_pool = session._pool
             session.run(plan)
@@ -120,7 +120,7 @@ class TestPoolOwnership:
     def test_pool_rebuilt_when_new_artefacts_materialise(self):
         plan = ExperimentPlan(schemes=("pairwise",), scenarios=("L1",),
                               n_mixes=1, workers=2)
-        with Session(use_cache=False) as session:
+        with Session() as session:
             session.run(plan)
             stale_pool = session._pool
             # "ours" needs the trained mixture of experts, which the
@@ -145,7 +145,7 @@ class TestPoolOwnership:
                                     scenarios=("L5",), n_mixes=2, workers=2)
             plan_b = ExperimentPlan(schemes=("pairwise",), scenarios=("L1",),
                                     n_mixes=1, workers=3)
-            with Session(use_cache=False) as session:
+            with Session() as session:
                 suspended = session.stream(plan_a)
                 first = next(suspended)
                 session.run(plan_b)  # different worker count: pool rebuild
@@ -169,7 +169,7 @@ class TestPoolOwnership:
 
         plan = ExperimentPlan(schemes=("pairwise",), scenarios=("L1",),
                               n_mixes=2, workers=2)
-        with Session(use_cache=False) as session:
+        with Session() as session:
             session.run(plan)
             broken_pool = session._pool
             # Kill the pool's workers out from under it.
@@ -185,7 +185,7 @@ class TestPoolOwnership:
     def test_close_is_idempotent_and_session_survives_it(self):
         plan = ExperimentPlan(schemes=("oracle",), scenarios=("L1",),
                               n_mixes=1)
-        session = Session(use_cache=False)
+        session = Session()
         session.close()
         session.close()
         [row] = session.run(plan)
@@ -195,24 +195,15 @@ class TestPoolOwnership:
 
 class TestTrainingOwnership:
     def test_prediction_free_plan_never_trains(self):
-        with Session(use_cache=False) as session:
+        with Session() as session:
             plan = ExperimentPlan(schemes=("pairwise", "oracle"),
                                   scenarios=("L1",), n_mixes=1)
             session.run(plan)
             assert session.suite.materialised() == frozenset()
 
-    def test_untrained_suite_satisfied_from_disk_cache(self, tmp_path):
-        from repro.api import load_or_train_suite, suite_path
-
-        load_or_train_suite(cache_dir=tmp_path)  # warm the cache
-        assert suite_path(tmp_path).is_file()
-        with Session(cache_dir=tmp_path) as session:
-            session.ensure_trained(["ours"])
-            assert "moe" in session.suite.materialised()
-
     def test_explicit_suite_is_used_not_replaced(self):
         suite = SchedulerSuite()
-        with Session(suite=suite, use_cache=False) as session:
+        with Session(suite=suite) as session:
             assert session.suite is suite
             session.ensure_trained(["quasar"])
             assert suite.materialised() == {"dataset"}

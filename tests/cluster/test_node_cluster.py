@@ -1,12 +1,10 @@
-"""Tests for nodes, the cluster, the resource monitor and YARN bookkeeping."""
+"""Tests for nodes, the cluster and the resource monitor."""
 
 import pytest
 
 from repro.cluster import (
     Cluster,
-    ContainerRequest,
     Node,
-    ResourceManager,
     ResourceMonitor,
     paper_cluster,
 )
@@ -130,29 +128,3 @@ class TestResourceMonitor:
         with pytest.raises(ValueError):
             ResourceMonitor().record(0.0, 0, memory_gb=-1.0, cpu_load=0.0)
 
-
-class TestResourceManager:
-    def test_grant_and_release(self):
-        cluster = Cluster.homogeneous(1)
-        manager = ResourceManager(cluster=cluster)
-        request = ContainerRequest(app_name="a", node_id=0, memory_gb=10.0,
-                                   cpu_load=0.3)
-        grant = manager.grant(request)
-        assert manager.granted_memory_gb(0) == pytest.approx(10.0)
-        manager.release(grant)
-        assert manager.granted_memory_gb(0) == 0.0
-
-    def test_grant_refused_when_node_cannot_host(self):
-        cluster = Cluster.homogeneous(1, ram_gb=16.0)
-        manager = ResourceManager(cluster=cluster)
-        request = ContainerRequest(app_name="a", node_id=0, memory_gb=32.0,
-                                   cpu_load=0.3)
-        assert not manager.can_satisfy(request)
-        with pytest.raises(RuntimeError):
-            manager.grant(request)
-
-    def test_request_validation(self):
-        with pytest.raises(ValueError):
-            ContainerRequest(app_name="a", node_id=0, memory_gb=0.0, cpu_load=0.5)
-        with pytest.raises(ValueError):
-            ContainerRequest(app_name="a", node_id=0, memory_gb=1.0, cpu_load=0.0)

@@ -12,7 +12,7 @@ def run_grid():
 
     The one-line counterpart of the retired ``run_scenarios`` barrier
     call: builds an :class:`repro.api.ExperimentPlan` from the same
-    keyword surface and executes it in a throwaway, cache-free
+    keyword surface and executes it in a throwaway
     :class:`repro.api.Session`, returning the aggregated
     :class:`repro.api.ScenarioResult` rows.
     """
@@ -22,7 +22,7 @@ def run_grid():
         if scenarios is not None:
             plan_kwargs["scenarios"] = scenarios
         plan = ExperimentPlan(schemes=tuple(schemes), **plan_kwargs)
-        with Session(suite=suite, use_cache=False) as session:
+        with Session(suite=suite) as session:
             return session.run(plan)
 
     return call

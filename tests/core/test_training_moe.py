@@ -13,6 +13,21 @@ from repro.profiling.profiler import Profiler
 from repro.workloads.suites import ALL_BENCHMARKS, TRAINING_BENCHMARKS, benchmark_by_name
 
 
+#: ``(m, b)`` of each exponential-labelled program at the default
+#: training seed, as a bounded trust-region least-squares fit found them.
+#: Quasar serves these functions at runtime, so the fit must keep them.
+EXPONENTIAL_COEFFICIENTS = {
+    "HB.Sort": (5.7590732465971435, 4.4612690389634935),
+    "HB.TeraSort": (6.408676316905461, 2.9057117814533524),
+    "HB.WordCount": (4.095989682396944, 3.6591493118808964),
+    "HB.Scan": (3.196685461806034, 5.017389461849578),
+    "HB.Aggregation": (4.8114682648509906, 2.941777357738821),
+    "HB.Join": (5.282903477880658, 2.4523415829388426),
+    "BDB.WordCount": (3.698322156500539, 4.281650750393321),
+    "BDB.Grep": (2.900949497336641, 5.000740618888059),
+}
+
+
 @pytest.fixture(scope="module")
 def dataset():
     return collect_training_data(seed=0)
@@ -36,6 +51,14 @@ class TestTrainingDataset:
     def test_offline_labels_match_ground_truth(self, dataset):
         for spec in TRAINING_BENCHMARKS:
             assert dataset.example_for(spec.name).family == spec.memory_behavior.value
+
+    def test_exponential_coefficients_are_kept(self, dataset):
+        exponential = {example.program for example in dataset.examples
+                       if example.family == "exponential"}
+        assert exponential == set(EXPONENTIAL_COEFFICIENTS)
+        for program, (m, b) in EXPONENTIAL_COEFFICIENTS.items():
+            fitted = dataset.example_for(program).fitted_function.coefficients
+            assert fitted == pytest.approx((m, b), rel=1e-6), program
 
     def test_feature_matrix_shape(self, dataset):
         assert dataset.feature_matrix().shape == (16, 22)

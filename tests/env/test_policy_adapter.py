@@ -19,7 +19,7 @@ SCHEMES = ("pairwise", "ours")
 
 @pytest.fixture(scope="module")
 def session():
-    with Session(use_cache=False) as shared:
+    with Session() as shared:
         shared.ensure_trained(SCHEMES)
         yield shared
 

@@ -67,14 +67,14 @@ class TestEpisodeResultRoundTrip:
         assert EpisodeResult.from_json(episode.to_json()) == episode
 
     def test_session_rollout_uses_session_artefacts(self):
-        with Session(use_cache=False) as session:
+        with Session() as session:
             episode = session.rollout("L1", policy="random", seed=11)
             assert episode.scenario == "L1"
             # Baseline policies never require training.
             assert session.suite.materialised() == frozenset()
 
     def test_session_rollout_rejects_non_policies(self):
-        with Session(use_cache=False) as session:
+        with Session() as session:
             with pytest.raises(TypeError, match="Policy"):
                 session.rollout("L1", policy=42)
 

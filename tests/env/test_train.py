@@ -111,7 +111,7 @@ class TestLearnedSchemeIntegration:
         plan = ExperimentPlan(schemes=("pairwise", "learned"),
                               scenarios=("L1",), n_mixes=1, seed=7,
                               engine=engine)
-        with Session(use_cache=False) as session:
+        with Session() as session:
             results = session.run(plan)
         by_scheme = {r.scheme: r for r in results}
         assert set(by_scheme) == {"pairwise", "learned"}

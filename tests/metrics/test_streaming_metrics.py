@@ -148,7 +148,7 @@ class TestSessionUsesStreaming:
 
         plan = ExperimentPlan(schemes=("pairwise",), scenarios=("L1",),
                               n_mixes=1)
-        with Session(use_cache=False) as session:
+        with Session() as session:
             [cell] = list(session.stream(plan))
         jobs = plan.scenarios[0].make_mixes(n_mixes=1, seed=plan.seed)[0]
         simulator = ClusterSimulator(Cluster.homogeneous(40),

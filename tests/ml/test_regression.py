@@ -5,12 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.training import default_training_input_sizes_gb
 from repro.ml import (
     ExponentialSaturationRegression,
     LinearRegression,
     NapierianLogRegression,
     PowerLawRegression,
 )
+
+#: The offline profiling grid every training curve is sampled on.
+TRAINING_GRID = default_training_input_sizes_gb()
+
+
+def assert_within_exponential_bounds(model, y):
+    y_max = float(np.max(y))
+    assert np.isfinite(model.m) and np.isfinite(model.b)
+    assert 0.7 * y_max <= model.m <= 1e3 * y_max
+    assert 1e-9 <= model.b <= 1e9
 
 
 class TestLinearRegression:
@@ -98,6 +109,44 @@ class TestExponentialSaturationRegression:
     def test_calibration_rejects_identical_points(self):
         with pytest.raises(ValueError):
             ExponentialSaturationRegression().calibrate(1.0, 2.0, 1.0, 2.0)
+
+    @pytest.mark.parametrize("x, y, reason", [
+        ([1.0], [2.0], "two samples"),
+        ([1.0, 2.0], [1.0, 0.0], "positive"),
+        ([1.0, np.nan, 3.0], [1.0, 2.0, 3.0], "finite"),
+        ([1.0, 2.0, np.inf], [1.0, 2.0, 3.0], "finite"),
+        ([1.0, 2.0, 3.0], [1.0, np.nan, 3.0], "finite"),
+        ([1.0, 2.0, 3.0], [1.0, 2.0, np.inf], "finite"),
+        ([1.0, 2.0, 3.0], [1.0, 2.0], "shape"),
+        ([[1.0, 2.0], [3.0, 4.0]], [1.0, 2.0, 3.0, 4.0], "shape"),
+    ], ids=["one-sample", "zero-footprint", "nan-size", "inf-size",
+            "nan-footprint", "inf-footprint", "short-footprints", "2d-sizes"])
+    def test_fit_rejects_malformed_samples(self, x, y, reason):
+        with pytest.raises(ValueError, match=reason):
+            ExponentialSaturationRegression().fit(np.array(x), np.array(y))
+
+    def test_decreasing_curve_beats_the_old_local_minimum(self):
+        # On y = 10/x a local bounded trust-region fit started from the
+        # small-x slope stops at a local minimum: m = 14 (the lower
+        # bound), b ≈ 53.0, RMSE 11.037.
+        y = 10.0 / TRAINING_GRID
+        model = ExponentialSaturationRegression().fit(TRAINING_GRID, y)
+        assert_within_exponential_bounds(model, y)
+        assert model.error(TRAINING_GRID, y) < 11.037
+
+    def test_flat_curve_fits_inside_the_bounds(self):
+        y = np.full_like(TRAINING_GRID, 3.0)
+        model = ExponentialSaturationRegression().fit(TRAINING_GRID, y)
+        assert_within_exponential_bounds(model, y)
+        assert model.error(TRAINING_GRID, y) < 1e-9
+
+    @given(st.floats(1.0, 50.0), st.floats(0.05, 10.0))
+    @settings(max_examples=100, deadline=None)
+    def test_property_noise_free_fit_round_trips(self, m, b):
+        y = m * (1.0 - np.exp(-b * TRAINING_GRID))
+        model = ExponentialSaturationRegression().fit(TRAINING_GRID, y)
+        assert model.m == pytest.approx(m, rel=1e-9)
+        assert model.b == pytest.approx(b, rel=1e-9)
 
     @given(st.floats(2.0, 40.0), st.floats(0.05, 3.0))
     @settings(max_examples=40, deadline=None)
