@@ -1,38 +1,19 @@
-"""Gate a quick-benchmark report against the committed baseline.
+"""Gate fresh benchmark reports against the committed baselines.
 
-CI runs ``benchmarks/fig6_grid.py --quick`` into ``BENCH_pr.json`` and then
-calls this script to compare it with the committed ``BENCH_baseline.json``:
+CI runs ``benchmarks/throughput.py`` and ``benchmarks/rollout_throughput.py``
+and then calls this script to compare each report with its committed
+counterpart.
 
-* the candidate configuration's wall clock may regress at most
-  ``--max-regression`` (relative, default 15 %) against the baseline's;
-* correctness flags recorded in the PR report (``results_identical``,
-  ``engines_agree``) must hold — a fast but wrong engine is not a win.
-
-Raw wall clocks are not comparable across runner hardware, so the gate
-compares *normalized* wall clocks: each report measures the candidate
-(event engine + workers) and the reference (fixed engine, one process)
-on the same machine, and the gated quantity is their ratio.  A slower
-runner scales both timings; a regression in the optimised path does not.
-The threshold can be overridden via ``--max-regression`` or the
-``REPRO_BENCH_MAX_REGRESSION`` environment variable.  Refresh the
-baseline (same command CI uses) whenever a PR legitimately changes the
-performance envelope::
-
-    python benchmarks/fig6_grid.py --quick --workers 2 --n-mixes 4 --output BENCH_baseline.json
-    python benchmarks/scenario_smoke.py --merge-into BENCH_baseline.json
-
-When the throughput reports are passed too (``--throughput`` /
-``--throughput-baseline``, produced by ``benchmarks/throughput.py``),
-the gate additionally checks, per tier of the PR report:
+With the throughput reports (``--throughput`` /
+``--throughput-baseline``), per tier of the PR report:
 
 * the trajectory (event count and makespan) equals the committed run's;
-* every tier but ``ci`` may regress its events/sec at most the same
-  ``--max-regression`` fraction — normalized by the same report's
-  ``ci`` events/sec, so runner hardware cancels out.
+* every tier but ``ci`` may regress its events/sec at most
+  ``--max-regression`` (relative, default 15 %) — normalized by the same
+  report's ``ci`` events/sec, so runner hardware cancels out.
 
-When the rollout-throughput reports are passed (``--rollout`` /
-``--rollout-baseline``, produced by ``benchmarks/rollout_throughput.py``),
-the gate additionally checks, per case present in both reports:
+With the rollout-throughput reports (``--rollout`` /
+``--rollout-baseline``), per case present in both reports:
 
 * the fast observation path still reproduces the dataclass oracle
   bit-for-bit (``modes_agree``), and the fast STP equals the committed
@@ -42,10 +23,14 @@ the gate additionally checks, per case present in both reports:
   ``--rollout-max-regression`` (default 30 %, looser than the throughput
   tiers because the quick cases time tens-of-milliseconds episodes).
 
+The thresholds can also be set through the ``REPRO_BENCH_MAX_REGRESSION``
+and ``REPRO_ROLLOUT_MAX_REGRESSION`` environment variables.  Refresh a
+baseline (same command CI uses, with ``--output`` at the committed file)
+whenever a PR legitimately changes the performance envelope.
+
 Usage::
 
-    python benchmarks/compare_baseline.py BENCH_pr.json BENCH_baseline.json
-    python benchmarks/compare_baseline.py BENCH_pr.json BENCH_baseline.json \
+    python benchmarks/compare_baseline.py \
         --throughput BENCH_throughput_pr.json \
         --throughput-baseline BENCH_throughput.json \
         --rollout BENCH_rollout_pr.json --rollout-baseline BENCH_rollout.json
@@ -189,10 +174,6 @@ def check_rollout(pr: dict, base: dict, max_regression: float,
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("candidate", help="freshly produced report "
-                                          "(BENCH_pr.json)")
-    parser.add_argument("baseline", help="committed reference "
-                                         "(BENCH_baseline.json)")
     parser.add_argument("--throughput", metavar="PATH",
                         help="freshly produced throughput report "
                              "(benchmarks/throughput.py output)")
@@ -221,50 +202,18 @@ def main(argv=None) -> int:
         "--max-regression", type=float,
         default=float(os.environ.get("REPRO_BENCH_MAX_REGRESSION", "0.15")),
         metavar="FRACTION",
-        help="maximum allowed relative wall-clock regression of the "
-             "candidate configuration (default: 0.15, i.e. 15%%)")
+        help="maximum allowed normalized events/sec regression of a "
+             "throughput tier (default: 0.15, i.e. 15%%)")
     args = parser.parse_args(argv)
     if args.max_regression < 0:
         parser.error("--max-regression cannot be negative")
     if args.rollout_max_regression < 0:
         parser.error("--rollout-max-regression cannot be negative")
 
-    pr = _load(args.candidate)
-    base = _load(args.baseline)
+    if args.throughput is None and args.rollout is None:
+        parser.error("nothing to compare: pass --throughput and/or --rollout")
 
     failures: list[str] = []
-
-    # Correctness flags of the fresh report are non-negotiable.
-    if pr.get("results_identical") is not True:
-        failures.append("fig6 grid: engine/worker configurations disagree "
-                        "(results_identical is not true)")
-    smoke = pr.get("scenario_smoke")
-    if smoke is not None and smoke.get("engines_agree") is not True:
-        failures.append("scenario smoke: fixed and event engines disagree")
-
-    # Wall-clock gate on the candidate (event engine + workers) config,
-    # normalized by the same-machine fixed-engine reference timing.
-    try:
-        pr_norm = (float(pr["candidate"]["wall_clock_s"])
-                   / float(pr["baseline"]["wall_clock_s"]))
-        base_norm = (float(base["candidate"]["wall_clock_s"])
-                     / float(base["baseline"]["wall_clock_s"]))
-    except (KeyError, TypeError, ValueError, ZeroDivisionError):
-        print("reports lack candidate/baseline wall_clock_s; cannot compare",
-              file=sys.stderr)
-        return 2
-    regression = pr_norm / base_norm - 1.0
-    print(f"candidate wall clock (normalized by the fixed-engine "
-          f"reference on the same machine): {pr_norm:.3f} "
-          f"(baseline {base_norm:.3f}, {regression:+.1%}; "
-          f"budget +{args.max_regression:.0%})")
-    print(f"  raw: candidate {pr['candidate']['wall_clock_s']}s vs "
-          f"reference {pr['baseline']['wall_clock_s']}s on this runner")
-    if pr_norm > base_norm * (1.0 + args.max_regression):
-        failures.append(
-            f"normalized wall-clock regression {regression:+.1%} exceeds "
-            f"the {args.max_regression:.0%} budget")
-
     if args.throughput is not None:
         check_throughput(_load(args.throughput),
                          _load(args.throughput_baseline),

@@ -59,7 +59,6 @@ from repro.env.policies import PolicyAdapter  # noqa: E402
 from repro.env.train.scheme import LearnedPolicy  # noqa: E402
 
 SEED = 11
-ENGINE = "event"
 
 #: case name -> (scenario, policy kind, timed repeats per mode).  churn20
 #: episodes run in tens of milliseconds, so they take enough repeats to
@@ -98,7 +97,7 @@ def run_episode(scenario: str, kind: str, mode: str, *,
     """
     fast = mode == "fast"
     policy = make_policy(kind, trace=trace, row_cache=fast)
-    env = SchedulingEnv(scenario, engine=ENGINE,
+    env = SchedulingEnv(scenario,
                         obs_mode="features" if fast else "dataclass",
                         record_utilization=not fast)
     policy.reset(SEED)
@@ -214,7 +213,6 @@ def main(argv=None) -> int:
         "benchmark": "rollout_throughput",
         "python": platform.python_version(),
         "machine": platform.machine(),
-        "engine": ENGINE,
         "seed": SEED,
         "quick": args.quick,
         "cases": {},

@@ -1,22 +1,27 @@
 """Event-throughput benchmark of the array-backed simulator (mega tier).
 
-Runs the fleet-scale ``mega_*`` scenarios under the event engine with a
-bus subscriber counting every published event, and reports events/sec and
-jobs/sec per tier:
+Runs the fleet-scale ``mega_*`` scenarios with a bus subscriber counting
+every published event, and reports events/sec and jobs/sec per tier:
 
-* ``ci``    — ``mega_ci_1k``: 1k jobs on 128 churning nodes, small
-  enough for every PR's CI run;
+* ``ci``    — ``mega_ci_1k`` under ``pairwise``: 1k jobs on 128 churning
+  nodes, small enough for every PR's CI run;
 * ``queue`` — ``mega_queue_20k``: 20k jobs burst onto 1024 static
   nodes with a capped horizon — the scheduler-bound tier, where each
   epoch walks a ~20k-deep waiting queue and events/sec measures the
   scheduling epoch (queue scan + scoring + estimator inference), not
   executor dynamics;
 * ``mega``  — ``mega_diurnal_10k``: 10k jobs over a replayed diurnal
-  week on 1024 churning nodes, the headline throughput tier.
+  week on 1024 churning nodes, the headline throughput tier;
+* ``ours``, ``oracle``, ``meta``, ``online_search``, ``learned`` —
+  ``mega_ci_1k`` under that scheme, so every scheme with its own
+  scoring or placement path is timed on the CI slice.  The offline
+  suite is trained before the clock starts.
 
-Each tier's run is recorded under the ``"vector"`` key, the shape of
-the committed report.  Its event count and makespan are deterministic per
-scenario/seed, so ``compare_baseline.py`` pins them to the committed run.
+``queue`` and ``mega`` run ``pairwise`` too.  Each tier's run is recorded
+under the ``"vector"`` key, the shape of the committed report.  Its event
+count and makespan are deterministic per scenario/seed, so
+``compare_baseline.py`` pins them to the committed run, and it gates every
+tier's events/sec normalised by the same report's ``ci`` tier.
 ``--profile`` adds each run's per-phase wall-clock breakdown (arrivals /
 faults / oom / schedule / advance, read off the engine's always-on phase
 counters) so a regression can be attributed to the phase that caused it.
@@ -28,7 +33,7 @@ numbers.
 Usage::
 
     python benchmarks/throughput.py --tier ci --output BENCH_throughput.json
-    python benchmarks/throughput.py --tier ci,queue --profile
+    python benchmarks/throughput.py --tier ci,queue,ours,oracle --profile
     python benchmarks/throughput.py --tier all
 """
 
@@ -43,33 +48,38 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from repro.api import SchedulerSuite  # noqa: E402
 from repro.cluster.simulator import ClusterSimulator  # noqa: E402
 from repro.scenarios import scenario  # noqa: E402
-from repro.scheduling import build_scheduler  # noqa: E402
 from repro.spark.driver import DynamicAllocationPolicy  # noqa: E402
 
-#: tier name -> mega-tier scenario it runs.
-TIERS = {"ci": "mega_ci_1k", "queue": "mega_queue_20k",
-         "mega": "mega_diurnal_10k"}
+#: tier name -> (mega-tier scenario, scheme) it runs.
+TIERS = {"ci": ("mega_ci_1k", "pairwise"),
+         "queue": ("mega_queue_20k", "pairwise"),
+         "mega": ("mega_diurnal_10k", "pairwise"),
+         "ours": ("mega_ci_1k", "ours"),
+         "oracle": ("mega_ci_1k", "oracle"),
+         "meta": ("mega_ci_1k", "meta"),
+         "online_search": ("mega_ci_1k", "online_search"),
+         "learned": ("mega_ci_1k", "learned")}
 
 #: Benchmark grid: half-minute sampling resolution — the regime where
 #: per-epoch costs (usage fan-out, capacity accounting) dominate and the
 #: simulator's scaling behaviour actually shows.
 TIME_STEP_MIN = 0.5
 SEED = 7
-SCHEME = "pairwise"  # needs no offline training; placement-bound
 
 
-def run_once(scenario_name: str, profile: bool = False) -> dict:
+def run_once(scenario_name: str, scheme: str, suite: SchedulerSuite,
+             profile: bool = False) -> dict:
     """One seeded scenario run; returns the measurements."""
     spec = scenario(scenario_name)
     cluster = spec.build_cluster()
-    scheduler = build_scheduler(
-        SCHEME, None,
-        allocation_policy=DynamicAllocationPolicy(max_executors=len(cluster)))
+    suite.ensure_trained((scheme,))
+    policy = DynamicAllocationPolicy(max_executors=len(cluster))
     simulator = ClusterSimulator(
-        cluster, scheduler, seed=SEED, step_mode="event",
-        time_step_min=TIME_STEP_MIN, record_utilization=False,
+        cluster, suite.factory(scheme, allocation_policy=policy)(),
+        seed=SEED, time_step_min=TIME_STEP_MIN, record_utilization=False,
         max_time_min=spec.max_time_min, faults=spec.faults)
     n_events = 0
 
@@ -102,13 +112,14 @@ def run_once(scenario_name: str, profile: bool = False) -> dict:
     return report
 
 
-def run_tier(tier: str, profile: bool) -> dict:
-    scenario_name = TIERS[tier]
-    print(f"[{tier}] {scenario_name} ...", flush=True, file=sys.stderr)
-    run = run_once(scenario_name, profile=profile)
+def run_tier(tier: str, suite: SchedulerSuite, profile: bool) -> dict:
+    scenario_name, scheme = TIERS[tier]
+    print(f"[{tier}] {scenario_name} / {scheme} ...", flush=True,
+          file=sys.stderr)
+    run = run_once(scenario_name, scheme, suite, profile=profile)
     print(f"[{tier}]   {run['wall_clock_s']}s, "
           f"{run['events_per_s']:,.0f} events/s", flush=True, file=sys.stderr)
-    return {"scenario": scenario_name, "vector": run}
+    return {"scenario": scenario_name, "scheme": scheme, "vector": run}
 
 
 def parse_tiers(value: str) -> list[str]:
@@ -138,15 +149,15 @@ def main(argv=None) -> int:
                                              "(default: BENCH_throughput.json)")
     args = parser.parse_args(argv)
 
+    suite = SchedulerSuite()
     report = {
         "benchmark": "kernel_throughput",
         "python": platform.python_version(),
         "machine": platform.machine(),
-        "engine": "event",
         "time_step_min": TIME_STEP_MIN,
         "seed": SEED,
-        "scheme": SCHEME,
-        "tiers": {tier: run_tier(tier, args.profile) for tier in args.tier},
+        "tiers": {tier: run_tier(tier, suite, args.profile)
+                  for tier in args.tier},
     }
     Path(args.output).write_text(json.dumps(report, indent=2) + "\n")
     print(json.dumps(report["tiers"], indent=2))

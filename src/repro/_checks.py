@@ -1,9 +1,10 @@
 """Boundary checks shared by the declarative specs.
 
 The public specs (``ScenarioSpec``, ``ArrivalSpec``, ``FaultSpec``,
-``FaultEvent``, ``ExperimentPlan``) reject a bad number where it enters,
-with an error that names the field, instead of letting it fail or hang
-inside a run.  ``error`` picks a spec's own ``ValueError`` subclass.
+``FaultEvent``, ``ExperimentPlan``), the simulator and the scheduling
+environment reject a bad number where it enters, with an error that
+names the field, instead of letting it fail or hang inside a run.
+``error`` picks a spec's own ``ValueError`` subclass.
 """
 
 from __future__ import annotations

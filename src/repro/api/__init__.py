@@ -4,8 +4,8 @@ Everything an external caller needs to run experiments lives here, in
 three composable pieces:
 
 * :class:`ExperimentPlan` — a declarative, eagerly validated description
-  of a comparison grid (scenarios × schemes × mixes × seed × engine ×
-  workers);
+  of a comparison grid (scenarios × schemes × mixes × seed × workers),
+  every cell of which runs on the event-driven engine;
 * :class:`Session` — a reusable execution context owning the trained
   predictor artefacts (:class:`SchedulerSuite`) and the worker pool;
 * typed results — :class:`CellResult` (streamed per grid cell, with

@@ -1,8 +1,8 @@
 """Declarative, eagerly validated experiment plans.
 
 An :class:`ExperimentPlan` is the full description of a comparison grid —
-scenarios × schemes × mixes × seeds — plus how to execute it (engine,
-time step, worker processes).  Everything is validated *up front*, at
+scenarios × schemes × mixes × seeds — plus how to execute it (time
+step, worker processes).  Everything is validated *up front*, at
 construction: scenario entries resolve through the scenario registry
 (names, spec-JSON paths or :class:`~repro.scenarios.spec.ScenarioSpec`
 objects), scheme names are checked against the scheduler plugin registry
@@ -15,7 +15,7 @@ Plans are frozen and hashable-by-value; derive variants with
 
     plan = ExperimentPlan(schemes=("pairwise", "ours", "oracle"),
                           scenarios=("L1", "L5"), n_mixes=5)
-    wide = plan.with_options(workers=8, engine="event")
+    wide = plan.with_options(workers=8, n_mixes=10)
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from dataclasses import dataclass, replace
 from typing import Iterable
 
 from repro._checks import require_finite, require_integer
-from repro.cluster.engine import STEP_MODES
 from repro.scenarios.registry import load_scenario
 from repro.scenarios.spec import ScenarioSpec
 from repro.scheduling.registry import validate_schemes
@@ -67,11 +66,9 @@ class ExperimentPlan:
         Seed of the per-scenario generator driving mix generation and
         arrival processes, and of the simulators.
     time_step_min:
-        Simulator grid step in minutes.
-    engine:
-        Simulator step mode, ``"event"`` (default) or ``"fixed"``; both
-        produce the same trajectories, the event engine just skips the
-        steps at which nothing can change.
+        Simulator grid step in minutes.  Every cell runs on the
+        event-driven engine, which jumps between state-changing events
+        on this grid.
     workers:
         Worker processes for the grid.  ``1`` (default) runs in-process;
         larger values fan the independent grid cells out over a process
@@ -84,7 +81,6 @@ class ExperimentPlan:
     n_mixes: int = 3
     seed: int = 11
     time_step_min: float = 0.5
-    engine: str = "event"
     workers: int = 1
 
     def __post_init__(self) -> None:
@@ -122,9 +118,6 @@ class ExperimentPlan:
         require_finite("time_step_min", self.time_step_min, PlanError)
         if self.time_step_min <= 0:
             raise PlanError("time_step_min must be positive")
-        if self.engine not in STEP_MODES:
-            raise PlanError(f"unknown engine {self.engine!r} "
-                            f"(available: {', '.join(STEP_MODES)})")
 
     # ------------------------------------------------------------------
     # Derived views
@@ -148,5 +141,5 @@ class ExperimentPlan:
         return (f"{len(self.scenarios)} scenario(s) x "
                 f"{len(self.schemes)} scheme(s) x {self.n_mixes} mix(es) "
                 f"= {self.n_cells} cells "
-                f"[engine={self.engine}, workers={self.workers}, "
+                f"[workers={self.workers}, "
                 f"seed={self.seed}]")

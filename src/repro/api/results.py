@@ -128,7 +128,6 @@ class CellResult:
     scheme: str
     mix_index: int
     seed: int
-    engine: str
     stp: float
     antt: float
     antt_reduction_percent: float
@@ -149,7 +148,6 @@ class CellResult:
             "scheme": self.scheme,
             "mix_index": self.mix_index,
             "seed": self.seed,
-            "engine": self.engine,
             "stp": self.stp,
             "antt": self.antt,
             "antt_reduction_percent": self.antt_reduction_percent,
@@ -165,8 +163,13 @@ class CellResult:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "CellResult":
-        """Inverse of :meth:`to_dict`."""
+        """Inverse of :meth:`to_dict`.
+
+        Documents written while cells recorded their simulation engine
+        still load; the retired ``engine`` key is dropped.
+        """
         kwargs = dict(payload)
+        kwargs.pop("engine", None)
         kwargs["jobs"] = tuple(JobRecord.from_dict(record)
                                for record in kwargs["jobs"])
         if kwargs.get("faults") is not None:

@@ -15,7 +15,7 @@ Execution is streaming-first: :meth:`Session.stream` yields one
 records — as each (scenario, scheme, mix) grid cell completes, in
 completion order.  :meth:`Session.run` folds the stream into the
 deterministic per-(scenario, scheme) :class:`~repro.api.results.ScenarioResult`
-aggregates, bit-for-bit identical for any worker count and engine.
+aggregates, bit-for-bit identical for any worker count.
 
 ::
 
@@ -67,13 +67,12 @@ def _simulate_cell(suite: SchedulerSuite, task: tuple) -> CellResult:
     yardstick, so fault-induced slowdowns show up as slowdowns rather
     than silently rescaling the baseline.
     """
-    scheme, mix_index, jobs, time_step_min, seed, engine, spec = task
+    scheme, mix_index, jobs, time_step_min, seed, spec = task
     cluster = spec.build_cluster()
     policy = DynamicAllocationPolicy(max_executors=len(cluster))
     factory = suite.factory(scheme, allocation_policy=policy)
     simulator = ClusterSimulator(cluster, factory(),
                                  time_step_min=time_step_min, seed=seed,
-                                 step_mode=engine,
                                  max_time_min=spec.max_time_min,
                                  faults=spec.faults)
     metrics = StreamingScheduleMetrics(jobs, policy).attach(simulator.events)
@@ -92,7 +91,6 @@ def _simulate_cell(suite: SchedulerSuite, task: tuple) -> CellResult:
         scheme=scheme,
         mix_index=mix_index,
         seed=seed,
-        engine=engine,
         stp=evaluation.stp,
         antt=evaluation.antt,
         antt_reduction_percent=evaluation.antt_reduction_percent,
@@ -248,7 +246,7 @@ class Session:
                           scheme_order=plan.schemes)
 
     def rollout(self, scenario, policy="random", *, seed: int = 11,
-                engine: str = "event", reward: str = "stp_delta",
+                reward: str = "stp_delta",
                 time_step_min: float = 0.5, max_steps: int | None = None,
                 record_rewards: bool = False,
                 obs_mode: str = "dataclass",
@@ -282,8 +280,7 @@ class Session:
         elif not isinstance(policy, Policy):
             raise TypeError("policy must be a name or a repro.env.Policy, "
                             f"not {type(policy).__name__}")
-        return run_episode(scenario, policy, seed=seed, engine=engine,
-                           reward=reward,
+        return run_episode(scenario, policy, seed=seed, reward=reward,
                            time_step_min=time_step_min, max_steps=max_steps,
                            record_rewards=record_rewards, obs_mode=obs_mode,
                            record_utilization=record_utilization)
@@ -318,7 +315,7 @@ class Session:
             for scheme in plan.schemes:
                 for mix_index, mix in enumerate(mixes):
                     tasks.append((scheme, mix_index, mix, plan.time_step_min,
-                                  plan.seed, plan.engine, spec))
+                                  plan.seed, spec))
         return tasks
 
     def _abandon(self, pool: ProcessPoolExecutor) -> None:

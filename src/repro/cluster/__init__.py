@@ -17,9 +17,9 @@ package provides the equivalent simulated infrastructure:
 * :mod:`repro.cluster.simulator` — the co-location simulator, modelling
   CPU contention, memory-bandwidth interference, paging when a node's
   resident memory exceeds its RAM, and out-of-memory executor failures;
-* :mod:`repro.cluster.engine` — the engines advancing simulated time: the
-  event-driven default and the fixed-step fallback, sharing one
-  scheduling-epoch lifecycle.
+* :mod:`repro.cluster.engine` — the event-driven engine advancing
+  simulated time, and the fixed-step reference the tests compare it
+  against; both share one scheduling-epoch lifecycle.
 """
 
 from repro.cluster.node import Node
@@ -39,11 +39,7 @@ from repro.cluster.faults import (
     load_fault_spec,
 )
 from repro.cluster.resource_monitor import ResourceMonitor
-from repro.cluster.engine import (
-    STEP_MODES,
-    EventDrivenEngine,
-    FixedStepEngine,
-)
+from repro.cluster.engine import EventDrivenEngine
 from repro.cluster.simulator import (
     ClusterSimulator,
     InterferenceModel,
@@ -69,9 +65,7 @@ __all__ = [
     "FaultSummary",
     "load_fault_spec",
     "ResourceMonitor",
-    "STEP_MODES",
     "EventDrivenEngine",
-    "FixedStepEngine",
     "ClusterSimulator",
     "InterferenceModel",
     "SimulationResult",

@@ -1,23 +1,24 @@
 """Simulation engines that advance the cluster through simulated time.
 
-Two interchangeable engines drive :class:`~repro.cluster.simulator.ClusterSimulator`:
-
-* :class:`FixedStepEngine` — the original behaviour: every ``time_step_min``
-  of simulated time the scheduler is consulted and every executor advances
-  by one step.  Robust and simple, but the cost of one schedule grows with
-  its makespan divided by the step length, regardless of how little happens.
-* :class:`EventDrivenEngine` — between scheduler invocations nothing changes
-  the per-executor progress rates (footprints follow the *assigned* data,
-  which only schedulers alter, and contention factors follow node
-  membership), so the engine analytically computes the next state-changing
-  event — earliest executor finish, job arrival, profiling-ready
-  transition, a dynamic-cluster fault event, a scheduler-requested wake-up,
-  or the rescan tick that bounds how stale a waiting queue may become —
-  and jumps simulated time directly to it.  Out-of-memory kills and
-  paging transitions can only occur when node membership changes, so they
-  are resolved instantaneously right after each scheduler invocation; an
-  epoch that kills wakes again on the next grid step, where the fixed-step
-  engine re-runs the killed data and re-places on the freed memory.
+* :class:`EventDrivenEngine` drives every
+  :class:`~repro.cluster.simulator.ClusterSimulator` run.  Between
+  scheduler invocations nothing changes the per-executor progress rates
+  (footprints follow the *assigned* data, which only schedulers alter, and
+  contention factors follow node membership), so the engine analytically
+  computes the next state-changing event — earliest executor finish, job
+  arrival, profiling-ready transition, a dynamic-cluster fault event, a
+  scheduler-requested wake-up, or the rescan tick that bounds how stale a
+  waiting queue may become — and jumps simulated time directly to it.
+  Out-of-memory kills and paging transitions can only occur when node
+  membership changes, so they are resolved instantaneously right after
+  each scheduler invocation; an epoch that kills wakes again on the next
+  grid step, where the fixed-step reference re-runs the killed data and
+  re-places on the freed memory.
+* :class:`FixedStepEngine` is the reference the event engine is checked
+  against: every ``time_step_min`` of simulated time the scheduler is
+  consulted and every executor advances by one step.  No public option
+  selects it; the parity tests and the golden traces reach it through a
+  simulator subclass that sets ``engine_type = FixedStepEngine``.
 
 The **lifecycle of one scheduling epoch is shared**: :meth:`_EngineBase.run`
 owns the loop — job arrivals, dynamic-cluster fault application, OOM
@@ -66,10 +67,10 @@ from repro.cluster.events import (
 from repro.spark.application import ApplicationState
 from repro.spark.executor import Executor, ExecutorState
 
-__all__ = ["STEP_MODES", "FixedStepEngine", "EventDrivenEngine", "make_engine"]
+__all__ = ["FixedStepEngine", "EventDrivenEngine"]
 
-#: Step modes understood by :func:`make_engine` / ``ClusterSimulator``.
-STEP_MODES: tuple[str, ...] = ("fixed", "event")
+#: Grid steps one event-engine jump may span while work is queued.
+RESCAN_STEPS = 5
 
 
 def _in_order_sum(values) -> float:
@@ -419,7 +420,11 @@ class _EngineBase:
 
 
 class FixedStepEngine(_EngineBase):
-    """Advance time in constant ``time_step_min`` increments."""
+    """Advance time in constant ``time_step_min`` increments.
+
+    The reference trajectory of :class:`EventDrivenEngine`; see the module
+    docstring for how the tests select it.
+    """
 
     def _advance_epoch(self, context, now: float) -> float:
         self._advance_executors(now)
@@ -533,25 +538,15 @@ class FixedStepEngine(_EngineBase):
 class EventDrivenEngine(_EngineBase):
     """Jump simulated time directly to the next state-changing event.
 
-    Parameters
-    ----------
-    sim:
-        The owning :class:`~repro.cluster.simulator.ClusterSimulator`.
-    rescan_min:
-        Upper bound on one time jump while applications are waiting for
-        resources (or OOM data awaits an idle node).  It bounds how long a
-        queued application can be ignored between resource events, covering
-        schedulers whose decisions depend on slowly changing state such as
-        the windowed resource monitor.  Defaults to five fixed steps.
+    While applications wait for resources (or OOM data awaits an idle
+    node), one jump spans at most :data:`RESCAN_STEPS` grid steps.  That
+    bounds how long a queued application can be ignored between resource
+    events, covering schedulers whose decisions depend on slowly changing
+    state such as the windowed resource monitor.
     """
 
-    def __init__(self, sim, rescan_min: float | None = None) -> None:
+    def __init__(self, sim) -> None:
         super().__init__(sim)
-        if rescan_min is None:
-            rescan_min = 5.0 * sim.time_step_min
-        if rescan_min <= 0:
-            raise ValueError("rescan_min must be positive")
-        self.rescan_min = rescan_min
         self._sample_idx = 0
 
     # ------------------------------------------------------------------
@@ -718,7 +713,7 @@ class EventDrivenEngine(_EngineBase):
         re-runs may become schedulable for reasons no analytic event
         captures — a scheduler consulting the sliding monitor window, say —
         so the engine re-invokes the scheduler at least every
-        ``rescan_min`` while such work exists.
+        :data:`RESCAN_STEPS` grid steps while such work exists.
         """
         sim = self.sim
         # ``oom_retry_gb`` holds only unfinished apps (finalisation is
@@ -727,7 +722,7 @@ class EventDrivenEngine(_EngineBase):
         # finished tests over the APP_DTYPE columns.
         if (any(gb > 1e-9 for gb in sim.oom_retry_gb.values())
                 or sim.cluster.state.any_waiting(now)):
-            return self._align(now + self.rescan_min, now)
+            return self._align(now + RESCAN_STEPS * sim.time_step_min, now)
         return math.inf
 
     # ------------------------------------------------------------------
@@ -743,13 +738,3 @@ class EventDrivenEngine(_EngineBase):
             sample_idx += 1
             t = sample_idx * dt
         return times, sample_idx
-
-
-def make_engine(step_mode: str, sim, **kwargs):
-    """Build the engine for ``step_mode`` (one of :data:`STEP_MODES`)."""
-    if step_mode == "fixed":
-        return FixedStepEngine(sim)
-    if step_mode == "event":
-        return EventDrivenEngine(sim, **kwargs)
-    raise ValueError(
-        f"unknown step_mode {step_mode!r}; expected one of {STEP_MODES}")

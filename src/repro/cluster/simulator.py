@@ -1,13 +1,12 @@
 """The co-location simulator.
 
 This is the execution substrate standing in for the paper's 40-node
-Spark/YARN cluster.  Simulated time is advanced by one of two engines
-(:mod:`repro.cluster.engine`): the default event-driven engine jumps
-directly between state-changing events, while ``step_mode="fixed"``
-advances time in small constant steps.  Either way the active scheduler is
-consulted between advances (it may spawn new executors on nodes with spare
-resources), and every executor makes progress at a rate degraded by three
-interference effects:
+Spark/YARN cluster.  Simulated time is advanced by the event-driven engine
+(:mod:`repro.cluster.engine`), which jumps directly between
+state-changing events on the ``time_step_min`` grid.  The active scheduler
+is consulted between advances (it may spawn new executors on nodes with
+spare resources), and every executor makes progress at a rate degraded by
+three interference effects:
 
 * **CPU contention** — when the aggregate CPU demand of the executors on a
   node exceeds 100 %, every executor's progress is scaled down
@@ -36,8 +35,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro._checks import require_finite
 from repro.cluster.cluster import Cluster
-from repro.cluster.engine import STEP_MODES, make_engine
+from repro.cluster.engine import EventDrivenEngine
 from repro.cluster.events import (
     EventBus,
     EventKind,
@@ -110,7 +110,7 @@ class SimulationResult:
         Sample timestamps in simulated **minutes**, one per recorded sample:
         ``utilization_times[i]`` is the time at which sample ``i`` of every
         node trace in :attr:`utilization_trace` was taken.  Samples lie on
-        the uniform ``time_step_min`` grid under both step modes.
+        the uniform ``time_step_min`` grid.
     utilization_trace:
         Per-node CPU utilisation samples in **percent**, aligned index by
         index with :attr:`utilization_times`.
@@ -463,24 +463,21 @@ class SchedulingContext:
 class ClusterSimulator:
     """Drives one schedule of a job mix under a given scheduler."""
 
+    #: The engine class :meth:`start` builds for each run.
+    engine_type = EventDrivenEngine
+
     def __init__(self, cluster: Cluster, scheduler, time_step_min: float = 0.5,
                  interference: InterferenceModel | None = None,
                  monitor_window_min: float = 5.0,
                  max_time_min: float = 50_000.0,
                  record_utilization: bool = True,
                  seed: int | None = 0,
-                 step_mode: str = "event",
-                 rescan_min: float | None = None,
                  faults: FaultSpec | None = None) -> None:
-        if time_step_min <= 0:
-            raise ValueError("time_step_min must be positive")
-        if max_time_min <= 0:
-            raise ValueError("max_time_min must be positive")
-        if step_mode not in STEP_MODES:
-            raise ValueError(f"step_mode must be one of {STEP_MODES}, "
-                             f"got {step_mode!r}")
-        self.step_mode = step_mode
-        self.rescan_min = rescan_min
+        for name, value in (("time_step_min", time_step_min),
+                            ("max_time_min", max_time_min)):
+            require_finite(name, value)
+            if value <= 0:
+                raise ValueError(f"{name} must be positive")
         self.cluster = cluster
         self.scheduler = scheduler
         self.time_step_min = time_step_min
@@ -632,11 +629,7 @@ class ClusterSimulator:
         # batch mix is submitted exactly as the seed submitted it.
         self.cluster.state.load_pending(
             sorted(jobs, key=lambda job: job.submit_time_min))
-
-        engine_kwargs = {}
-        if self.step_mode == "event" and self.rescan_min is not None:
-            engine_kwargs["rescan_min"] = self.rescan_min
-        self.engine = make_engine(self.step_mode, self, **engine_kwargs)
+        self.engine = self.engine_type(self)
         return SchedulingContext(self)
 
     def detach_run_subscribers(self) -> None:

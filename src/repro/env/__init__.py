@@ -1,6 +1,6 @@
 """The gym-style scheduling environment over the event-bus kernel.
 
-This package re-layers the simulation engines' epoch loop as a
+This package re-layers the event-driven engine's epoch loop as a
 ``reset``/``step`` decision process: the simulation pauses at every
 scheduler wake-point, the caller chooses executor placements (a
 structured, capacity-validated :class:`Action`), and the kernel resumes

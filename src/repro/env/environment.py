@@ -1,8 +1,8 @@
 """The gym-style scheduling environment over the event kernel.
 
-:class:`SchedulingEnv` re-layers the simulation engines' epoch loop as a
+:class:`SchedulingEnv` re-layers the event-driven engine's epoch loop as a
 ``reset``/``step`` decision process: the simulation pauses at every
-``SCHEDULER_WAKE`` epoch (the engines' resumable
+``SCHEDULER_WAKE`` epoch (the engine's resumable
 :meth:`~repro.cluster.engine._EngineBase.epochs` generator), the caller
 chooses executor placements, and the environment resumes the kernel to
 the next wake-point.  Everything else — arrivals, faults, OOM re-runs,
@@ -20,6 +20,7 @@ not a fork.
 
 from __future__ import annotations
 
+from repro._checks import require_finite
 from repro.cluster.events import EventKind
 from repro.cluster.simulator import ClusterSimulator, SimulationResult
 from repro.env.actions import Action, InvalidActionError, validate_placement
@@ -108,20 +109,20 @@ class _RewardTracker:
 class SchedulingEnv:
     """A step/reset decision-process view of the cluster simulation.
 
+    Episodes run on the event-driven engine, the one every simulation
+    uses, pausing at its grid-aligned wake-points.
+
     Parameters
     ----------
     scenario:
         Scenario identifier — a registry name, a spec JSON path, or a
         :class:`~repro.scenarios.spec.ScenarioSpec` — resolved exactly
         like everywhere else (:func:`repro.scenarios.load_scenario`).
-    engine:
-        Simulation step mode (``"event"`` default, or ``"fixed"``).
-        Both pause at the same grid-aligned wake-points; the event
-        engine simply skips the epochs at which nothing can change.
     reward:
         One of :data:`REWARD_KINDS` (default ``"stp_delta"``).
     time_step_min:
-        Simulator grid step, as in :class:`repro.api.ExperimentPlan`.
+        Simulator grid step, as in :class:`repro.api.ExperimentPlan`: a
+        finite, positive number of minutes.
     obs_mode:
         ``"dataclass"`` (default) hands out the frozen
         :class:`~repro.env.Observation` with per-job/per-node typed
@@ -149,18 +150,19 @@ class SchedulingEnv:
         episode = env.episode_result("random")
     """
 
-    def __init__(self, scenario, *, engine: str = "event",
-                 reward: str = "stp_delta",
+    def __init__(self, scenario, *, reward: str = "stp_delta",
                  time_step_min: float = 0.5, obs_mode: str = "dataclass",
                  record_utilization: bool = True) -> None:
         self._spec = load_scenario(scenario)
+        require_finite("time_step_min", time_step_min)
+        if time_step_min <= 0:
+            raise ValueError("time_step_min must be positive")
         if reward not in REWARD_KINDS:
             raise ValueError(f"unknown reward kind {reward!r}; expected one "
                              f"of {REWARD_KINDS}")
         if obs_mode not in OBS_MODES:
             raise ValueError(f"unknown obs_mode {obs_mode!r}; expected one "
                              f"of {OBS_MODES}")
-        self.engine = engine
         self.reward_kind = reward
         self.time_step_min = time_step_min
         self.obs_mode = obs_mode
@@ -207,7 +209,6 @@ class SchedulingEnv:
         jobs = spec.make_mixes(n_mixes=1, seed=seed)[0]
         sim = ClusterSimulator(cluster, scheduler,
                                time_step_min=self.time_step_min, seed=seed,
-                               step_mode=self.engine,
                                max_time_min=spec.max_time_min,
                                faults=spec.faults,
                                record_utilization=self.record_utilization)
@@ -381,7 +382,7 @@ class SchedulingEnv:
 
         Streams off the same :class:`StreamingScheduleMetrics` subscriber
         the experiment session layer uses, so the values are bit-for-bit
-        identical to a native run of the same (scenario, seed, engine).
+        identical to a native run of the same (scenario, seed).
         Raises :class:`repro.api.HorizonTruncationError` when the horizon
         cut the workload short.
         """

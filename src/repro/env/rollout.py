@@ -39,7 +39,6 @@ class EpisodeResult:
     scenario: str
     policy: str
     seed: int
-    engine: str
     reward_kind: str
     steps: int
     total_reward: float
@@ -65,7 +64,6 @@ class EpisodeResult:
             scenario=env.spec.name,
             policy=policy_name,
             seed=env.seed,
-            engine=env.engine,
             reward_kind=env.reward_kind,
             steps=env.steps,
             total_reward=env.total_reward,
@@ -85,7 +83,6 @@ class EpisodeResult:
             "scenario": self.scenario,
             "policy": self.policy,
             "seed": self.seed,
-            "engine": self.engine,
             "reward_kind": self.reward_kind,
             "steps": self.steps,
             "total_reward": self.total_reward,
@@ -104,8 +101,13 @@ class EpisodeResult:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "EpisodeResult":
-        """Inverse of :meth:`to_dict`."""
+        """Inverse of :meth:`to_dict`.
+
+        Documents written while episodes recorded their simulation engine
+        still load; the retired ``engine`` key is dropped.
+        """
         kwargs = dict(payload)
+        kwargs.pop("engine", None)
         kwargs["jobs"] = tuple(JobRecord.from_dict(record)
                                for record in kwargs["jobs"])
         if kwargs.get("faults") is not None:
@@ -139,7 +141,7 @@ class EpisodeResult:
 
 
 def rollout(scenario, policy: Policy, *, seed: int = 11,
-            engine: str = "event", reward: str = "stp_delta",
+            reward: str = "stp_delta",
             time_step_min: float = 0.5,
             max_steps: int | None = None,
             record_rewards: bool = False,
@@ -148,8 +150,8 @@ def rollout(scenario, policy: Policy, *, seed: int = 11,
     """Run one full episode of ``policy`` on ``scenario``.
 
     ``max_steps`` bounds the number of decision epochs (a safety net for
-    policies that never place anything under the fixed-step engine,
-    where every grid step is an epoch); exceeding it raises
+    policies that never place anything, which keep waking on the rescan
+    tick until the horizon); exceeding it raises
     ``RuntimeError`` naming the scenario and step count.
     ``record_rewards`` keeps the per-step reward trace on the result
     (``EpisodeResult.rewards``) — the learner's training signal and the
@@ -160,7 +162,7 @@ def rollout(scenario, policy: Policy, *, seed: int = 11,
     bit-identical to the defaults; only the episode's utilization metric
     switches to the streaming reduction).
     """
-    env = SchedulingEnv(scenario, engine=engine, reward=reward,
+    env = SchedulingEnv(scenario, reward=reward,
                         time_step_min=time_step_min,
                         obs_mode=obs_mode,
                         record_utilization=record_utilization)

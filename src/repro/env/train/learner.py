@@ -33,7 +33,6 @@ from pathlib import Path
 import numpy as np
 
 from repro._checks import require_finite, require_integer
-from repro.cluster.engine import STEP_MODES
 from repro.env.environment import REWARD_KINDS
 from repro.scenarios.registry import load_scenario
 
@@ -99,7 +98,6 @@ class TrainConfig:
     entropy_beta_min: float = -0.08
     grad_clip: float = 10.0
     reward: str = "stp_delta"
-    engine: str = "event"
     episode_seeds: tuple[int, ...] | None = None
     eval_seed: int | None = None
     eval_every: int = 5
@@ -137,9 +135,6 @@ class TrainConfig:
         if self.reward not in REWARD_KINDS:
             raise ValueError(f"unknown reward {self.reward!r} "
                              f"(expected one of {REWARD_KINDS})")
-        if self.engine not in STEP_MODES:
-            raise ValueError(f"unknown engine {self.engine!r} "
-                             f"(expected one of {STEP_MODES})")
         if self.obs_mode not in ("dataclass", "features"):
             raise ValueError(f"unknown obs_mode {self.obs_mode!r} "
                              "(expected 'dataclass' or 'features')")
@@ -172,7 +167,6 @@ class TrainConfig:
             "entropy_beta_min": self.entropy_beta_min,
             "grad_clip": self.grad_clip,
             "reward": self.reward,
-            "engine": self.engine,
             "episode_seeds": (None if self.episode_seeds is None
                               else list(self.episode_seeds)),
             "eval_seed": self.eval_seed,
@@ -192,11 +186,14 @@ class TrainConfig:
         so re-deriving a historical checkpoint from its recorded config
         reproduces the same bytes.  (``obs_mode`` needs no such pin:
         both observation paths are bit-identical.)  A recorded
-        ``kernel`` is dropped: the option is gone, and both of its
-        values ran bit-identical trajectories.
+        ``kernel`` or ``engine`` is dropped: both options are gone.
+        Every ``kernel`` value ran bit-identical trajectories; a config
+        that recorded the fixed-step engine re-runs on the event engine,
+        the only one left.
         """
         kwargs = dict(payload)
         kwargs.pop("kernel", None)
+        kwargs.pop("engine", None)
         kwargs.setdefault("update_mode", "rows")
         return cls(**kwargs)
 
@@ -577,7 +574,6 @@ class ReinforceLearner:
         result = rollout(self.spec, policy,
                          seed=(self.config.resolved_eval_seed()
                                if seed is None else seed),
-                         engine=self.config.engine,
                          reward=self.config.reward,
                          max_steps=self.config.max_steps,
                          obs_mode=self.config.obs_mode,
@@ -606,7 +602,6 @@ class ReinforceLearner:
         best_params: tuple[list[np.ndarray], list[np.ndarray]] | None = None
         final_eval = -np.inf
         with EpisodeCollector(self.spec, reward=config.reward,
-                              engine=config.engine,
                               max_steps=config.max_steps,
                               workers=config.workers,
                               obs_mode=config.obs_mode) as collector:

@@ -77,7 +77,7 @@ class Trajectory:
 
 
 def collect_episode(scenario, model: PolicyNetwork, spec: EpisodeSpec, *,
-                    reward: str = "stp_delta", engine: str = "event",
+                    reward: str = "stp_delta",
                     max_steps: int | None = 20000,
                     obs_mode: str = "features") -> Trajectory:
     """Sample one full episode and package it for the learner.
@@ -89,8 +89,7 @@ def collect_episode(scenario, model: PolicyNetwork, spec: EpisodeSpec, *,
     policy = LearnedPolicy(
         model=model, record_trace=True,
         sample_rng=np.random.default_rng(spec.sample_seed))
-    result = rollout(scenario, policy, seed=spec.episode_seed,
-                     engine=engine, reward=reward,
+    result = rollout(scenario, policy, seed=spec.episode_seed, reward=reward,
                      max_steps=max_steps, record_rewards=True,
                      obs_mode=obs_mode,
                      record_utilization=(obs_mode != "features"))
@@ -110,18 +109,17 @@ def collect_episode(scenario, model: PolicyNetwork, spec: EpisodeSpec, *,
 _WORKER_STATE: dict = {}
 
 
-def _init_worker(scenario, reward: str, engine: str,
-                 max_steps: int | None, obs_mode: str,
-                 model_blob: bytes) -> None:
-    _WORKER_STATE["args"] = (scenario, reward, engine, max_steps, obs_mode)
+def _init_worker(scenario, reward: str, max_steps: int | None,
+                 obs_mode: str, model_blob: bytes) -> None:
+    _WORKER_STATE["args"] = (scenario, reward, max_steps, obs_mode)
     _WORKER_STATE["model"] = pickle.loads(model_blob)
 
 
 def _worker_episode(spec: EpisodeSpec) -> Trajectory:
-    scenario, reward, engine, max_steps, obs_mode = _WORKER_STATE["args"]
+    scenario, reward, max_steps, obs_mode = _WORKER_STATE["args"]
     return collect_episode(scenario, _WORKER_STATE["model"], spec,
-                           reward=reward, engine=engine,
-                           max_steps=max_steps, obs_mode=obs_mode)
+                           reward=reward, max_steps=max_steps,
+                           obs_mode=obs_mode)
 
 
 class EpisodeCollector:
@@ -137,12 +135,10 @@ class EpisodeCollector:
     """
 
     def __init__(self, scenario, *, reward: str = "stp_delta",
-                 engine: str = "event",
                  max_steps: int | None = 20000, workers: int = 1,
                  obs_mode: str = "features") -> None:
         self.scenario = scenario
         self.reward = reward
-        self.engine = engine
         self.max_steps = max_steps
         self.workers = max(1, int(workers))
         self.obs_mode = obs_mode
@@ -156,8 +152,8 @@ class EpisodeCollector:
             self.close()
             self._pool = ProcessPoolExecutor(
                 max_workers=self.workers, initializer=_init_worker,
-                initargs=(self.scenario, self.reward, self.engine,
-                          self.max_steps, self.obs_mode, blob))
+                initargs=(self.scenario, self.reward, self.max_steps,
+                          self.obs_mode, blob))
             self._armed_blob = blob
         return self._pool
 
@@ -166,7 +162,7 @@ class EpisodeCollector:
         """Sample one trajectory per spec, in spec order."""
         if self.workers == 1:
             return [collect_episode(self.scenario, model, spec,
-                                    reward=self.reward, engine=self.engine,
+                                    reward=self.reward,
                                     max_steps=self.max_steps,
                                     obs_mode=self.obs_mode)
                     for spec in specs]

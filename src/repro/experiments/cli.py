@@ -6,7 +6,7 @@ alias for ``python -m repro.experiments.cli``)::
     python -m repro.experiments --list
     python -m repro.experiments fig6 fig17 table5
     python -m repro.experiments all --quick
-    python -m repro.experiments fig6 --workers 4 --engine event
+    python -m repro.experiments fig6 --workers 4
 
 Beyond the paper artefacts, ``--scenario`` runs any declarative scenario
 (:mod:`repro.scenarios`) — a registry name or a spec JSON path — across a
@@ -41,7 +41,6 @@ from repro.api import (
     cells_to_json,
     fold_cells,
 )
-from repro.cluster.engine import STEP_MODES
 from repro.cluster.faults import FAULT_PROFILES, load_fault_spec
 from repro.experiments import (
     fig3_memory_curves,
@@ -76,7 +75,6 @@ def _run_fig6(session, options):
     results = fig6_overall.run(scenarios=scenarios,
                                n_mixes=2 if options.quick else 5,
                                include_learned=options.with_learned,
-                               engine=options.engine,
                                workers=options.workers, session=session)
     print(fig6_overall.format_table(results))
     print(headline.format_table(headline.summarize(results)))
@@ -89,7 +87,6 @@ def _run_fig9(session, options):
         fig9_unified.run(scenarios=scenarios,
                          n_mixes=1 if options.quick else 3,
                          include_learned=options.with_learned,
-                         engine=options.engine,
                          workers=options.workers, session=session)))
 
 
@@ -99,13 +96,12 @@ def _run_fig10(session, options):
     print(fig10_online_search.format_table(
         fig10_online_search.run(scenarios=scenarios,
                                 n_mixes=1 if options.quick else 3,
-                                engine=options.engine,
                                 workers=options.workers, session=session)))
 
 
 def _run_fig7(session, options):
     print(fig7_8_utilization.format_table(
-        fig7_8_utilization.run(suite=session.suite, engine=options.engine)))
+        fig7_8_utilization.run(suite=session.suite)))
 
 
 def _run_fig11_12(session, options):
@@ -113,8 +109,7 @@ def _run_fig11_12(session, options):
                  else ("L1", "L3", "L5", "L8", "L10"))
     per_scenario = fig11_12_overhead.run_per_scenario(scenarios=scenarios,
                                                       n_mixes=1,
-                                                      suite=session.suite,
-                                                      engine=options.engine)
+                                                      suite=session.suite)
     per_benchmark = fig11_12_overhead.run_per_benchmark()
     print(fig11_12_overhead.format_table(per_scenario, per_benchmark))
 
@@ -123,8 +118,7 @@ def _run_fig14(session, options):
     kwargs = ({"co_runners_per_target": 4} if options.quick
               else {"co_runners_per_target": 10})
     print(fig14_interference.format_table(
-        fig14_interference.run(suite=session.suite, engine=options.engine,
-                               **kwargs)))
+        fig14_interference.run(suite=session.suite, **kwargs)))
 
 
 def _run_fig_meta(session, options):
@@ -132,7 +126,6 @@ def _run_fig_meta(session, options):
     print(fig_meta.format_table(
         fig_meta.run(scenarios=scenarios,
                      n_mixes=1 if options.quick else 3,
-                     engine=options.engine,
                      workers=options.workers, session=session)))
 
 
@@ -268,8 +261,7 @@ def _run_env_rollout(args) -> int:
     with Session() as session:
         try:
             episode = session.rollout(spec, policy=args.policy,
-                                      seed=args.seed, engine=args.engine,
-                                      reward=args.reward,
+                                      seed=args.seed, reward=args.reward,
                                       obs_mode=args.obs_mode or "dataclass")
         except UnknownPolicy as error:
             print(f"cannot resolve policy {args.policy!r}: {error}",
@@ -279,7 +271,7 @@ def _run_env_rollout(args) -> int:
             print(str(error), file=sys.stderr)
             return 1
     print(f"episode {episode.scenario} policy={episode.policy} "
-          f"seed={episode.seed} engine={episode.engine}: "
+          f"seed={episode.seed}: "
           f"steps={episode.steps} STP={episode.stp:.2f} "
           f"ANTT={episode.antt:.2f} makespan={episode.makespan_min:.1f}min "
           f"total_reward[{episode.reward_kind}]={episode.total_reward:.3f}")
@@ -312,8 +304,7 @@ def _run_env_train(args) -> int:
         config = TrainConfig(iters=args.iters,
                              episodes_per_iter=args.episodes_per_iter,
                              seed=args.seed, eval_seed=args.eval_seed,
-                             reward=args.reward,
-                             engine=args.engine, workers=args.workers,
+                             reward=args.reward, workers=args.workers,
                              obs_mode=args.obs_mode or "features",
                              update_mode=args.update_mode)
     except ValueError as error:
@@ -356,7 +347,7 @@ def _run_scenario_mode(args) -> int:
     try:
         plan = ExperimentPlan(schemes=schemes, scenarios=(spec,),
                               n_mixes=args.n_mixes, seed=args.seed,
-                              engine=args.engine, workers=args.workers)
+                              workers=args.workers)
     except (PlanError, UnknownSchemeError) as error:
         print(str(error), file=sys.stderr)
         return 2
@@ -480,10 +471,6 @@ def main(argv: list[str] | None = None) -> int:
                              "$REPRO_LEARNED_CHECKPOINT overrides it)")
     parser.add_argument("--quick", action="store_true",
                         help="use reduced simulation grids")
-    parser.add_argument("--engine", choices=list(STEP_MODES), default="event",
-                        help="simulation engine: 'event' jumps between "
-                             "state changes, 'fixed' advances in constant "
-                             "steps (default: event)")
     parser.add_argument("--workers", type=int, default=1, metavar="N",
                         help="worker processes for the scenario-grid "
                              "experiments fig6/fig9/fig10 and --scenario "

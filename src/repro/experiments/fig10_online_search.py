@@ -23,13 +23,11 @@ SCHEMES: tuple[str, ...] = ("online_search", "ours")
 
 
 def run(scenarios=DEFAULT_SCENARIOS, n_mixes: int = 3, seed: int = 11,
-        suite: SchedulerSuite | None = None,
-        engine: str = "event", workers: int = 1,
+        suite: SchedulerSuite | None = None, workers: int = 1,
         session: Session | None = None) -> list[ScenarioResult]:
     """Reproduce Figure 10 over the requested scenarios."""
     plan = ExperimentPlan(schemes=SCHEMES, scenarios=scenarios,
-                          n_mixes=n_mixes, seed=seed, engine=engine,
-                          workers=workers)
+                          n_mixes=n_mixes, seed=seed, workers=workers)
     if session is not None:
         return session.run(plan)
     with Session(suite=suite) as own_session:

@@ -58,8 +58,8 @@ class BenchmarkOverhead:
 
 def run_per_scenario(scenarios=("L1", "L3", "L5", "L8", "L10"),
                      n_mixes: int = 2, seed: int = 11,
-                     suite: SchedulerSuite | None = None,
-                     engine: str = "event") -> list[ScenarioOverhead]:
+                     suite: SchedulerSuite | None = None
+                     ) -> list[ScenarioOverhead]:
     """Figure 11: per-scenario profiling overhead under our scheduler."""
     suite = suite or SchedulerSuite()
     results = []
@@ -68,8 +68,7 @@ def run_per_scenario(scenarios=("L1", "L3", "L5", "L8", "L10"),
         feature, calibration, execution = [], [], []
         for mix in mixes:
             simulator = ClusterSimulator(paper_cluster(),
-                                         suite.factory("ours")(), seed=seed,
-                                         step_mode=engine)
+                                         suite.factory("ours")(), seed=seed)
             sim_result = simulator.run(mix)
             for app in sim_result.apps.values():
                 feature.append(app.feature_extraction_min)

@@ -47,18 +47,17 @@ class InterferenceDistribution:
 
 
 def _single_node_runtime(suite: SchedulerSuite, jobs: list[Job], target: str,
-                         seed: int, engine: str = "event") -> float:
+                         seed: int) -> float:
     cluster = Cluster.homogeneous(1)
     simulator = ClusterSimulator(cluster, suite.factory("ours")(),
-                                 time_step_min=0.25, seed=seed,
-                                 step_mode=engine)
+                                 time_step_min=0.25, seed=seed)
     result = simulator.run(jobs)
     return result.apps[target].execution_min()
 
 
 def run(targets=None, co_runners_per_target: int = 8, input_gb: float = 30.0,
-        seed: int = 7, suite: SchedulerSuite | None = None,
-        engine: str = "event") -> list[InterferenceDistribution]:
+        seed: int = 7, suite: SchedulerSuite | None = None
+        ) -> list[InterferenceDistribution]:
     """Measure co-location slowdowns for each target benchmark.
 
     ``co_runners_per_target`` bounds how many distinct co-runners each
@@ -75,12 +74,12 @@ def run(targets=None, co_runners_per_target: int = 8, input_gb: float = 30.0,
         chosen = rng.choice(others, size=min(co_runners_per_target, len(others)),
                             replace=False)
         isolated = _single_node_runtime(
-            suite, [Job(target, input_gb)], target, seed, engine)
+            suite, [Job(target, input_gb)], target, seed)
         slowdowns = []
         for co_runner in chosen:
             colocated = _single_node_runtime(
                 suite, [Job(target, input_gb), Job(str(co_runner), input_gb)],
-                target, seed, engine)
+                target, seed)
             slowdowns.append(max(slowdown_percent(isolated, colocated), 0.0))
         distributions.append(InterferenceDistribution(
             target=target,

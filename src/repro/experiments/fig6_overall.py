@@ -26,7 +26,7 @@ SCHEMES: tuple[str, ...] = ("pairwise", "quasar", "ours", "oracle")
 
 def plan(scenarios=DEFAULT_SCENARIOS, n_mixes: int = 3, seed: int = 11,
          include_isolated: bool = False, include_learned: bool = False,
-         engine: str = "event", workers: int = 1) -> ExperimentPlan:
+         workers: int = 1) -> ExperimentPlan:
     """The declarative Figure 6 grid.
 
     ``include_learned`` adds the trained ``learned`` scheme (PR 8's
@@ -37,14 +37,13 @@ def plan(scenarios=DEFAULT_SCENARIOS, n_mixes: int = 3, seed: int = 11,
                + (("learned",) if include_learned else ())
                + (("isolated",) if include_isolated else ()))
     return ExperimentPlan(schemes=schemes, scenarios=scenarios,
-                          n_mixes=n_mixes, seed=seed, engine=engine,
-                          workers=workers)
+                          n_mixes=n_mixes, seed=seed, workers=workers)
 
 
 def run(scenarios=DEFAULT_SCENARIOS, n_mixes: int = 3, seed: int = 11,
         suite: SchedulerSuite | None = None,
         include_isolated: bool = False, include_learned: bool = False,
-        engine: str = "event", workers: int = 1,
+        workers: int = 1,
         session: Session | None = None) -> list[ScenarioResult]:
     """Reproduce Figure 6 over the requested scenarios.
 
@@ -54,8 +53,7 @@ def run(scenarios=DEFAULT_SCENARIOS, n_mixes: int = 3, seed: int = 11,
     """
     grid = plan(scenarios=scenarios, n_mixes=n_mixes, seed=seed,
                 include_isolated=include_isolated,
-                include_learned=include_learned, engine=engine,
-                workers=workers)
+                include_learned=include_learned, workers=workers)
     if session is not None:
         return session.run(grid)
     with Session(suite=suite) as own_session:

@@ -40,8 +40,7 @@ class UtilizationResult:
 
 def run(suite: SchedulerSuite | None = None, schemes=SCHEMES,
         n_bins: int = 48, seed: int = 11,
-        time_step_min: float = 0.5,
-        engine: str = "event") -> list[UtilizationResult]:
+        time_step_min: float = 0.5) -> list[UtilizationResult]:
     """Schedule the Table 4 mix under each scheme and collect utilisation.
 
     Both the headline metrics and the heat map are accumulated by
@@ -55,7 +54,6 @@ def run(suite: SchedulerSuite | None = None, schemes=SCHEMES,
     for scheme in schemes:
         simulator = ClusterSimulator(paper_cluster(), suite.factory(scheme)(),
                                      time_step_min=time_step_min, seed=seed,
-                                     step_mode=engine,
                                      record_utilization=False)
         metrics = StreamingScheduleMetrics(jobs).attach(simulator.events)
         heatmap = StreamingUtilizationHeatmap(n_bins=n_bins).attach(

@@ -30,7 +30,7 @@ SCHEMES: tuple[str, ...] = (
 
 def run(scenarios=DEFAULT_SCENARIOS, n_mixes: int = 3, seed: int = 11,
         suite: SchedulerSuite | None = None, include_learned: bool = False,
-        engine: str = "event", workers: int = 1,
+        workers: int = 1,
         session: Session | None = None) -> list[ScenarioResult]:
     """Reproduce Figure 9 over the requested scenarios.
 
@@ -39,8 +39,7 @@ def run(scenarios=DEFAULT_SCENARIOS, n_mixes: int = 3, seed: int = 11,
     """
     schemes = SCHEMES + (("learned",) if include_learned else ())
     plan = ExperimentPlan(schemes=schemes, scenarios=scenarios,
-                          n_mixes=n_mixes, seed=seed, engine=engine,
-                          workers=workers)
+                          n_mixes=n_mixes, seed=seed, workers=workers)
     if session is not None:
         return session.run(plan)
     with Session(suite=suite) as own_session:

@@ -33,20 +33,18 @@ SCENARIOS: tuple[str, ...] = ("regime_shift", "adaptive_churn")
 
 
 def plan(scenarios=SCENARIOS, n_mixes: int = 3, seed: int = 11,
-         engine: str = "event", workers: int = 1) -> ExperimentPlan:
+         workers: int = 1) -> ExperimentPlan:
     """The declarative meta-vs-fixed grid."""
     return ExperimentPlan(schemes=SCHEMES, scenarios=scenarios,
-                          n_mixes=n_mixes, seed=seed, engine=engine,
-                          workers=workers)
+                          n_mixes=n_mixes, seed=seed, workers=workers)
 
 
 def run(scenarios=SCENARIOS, n_mixes: int = 3, seed: int = 11,
-        suite: SchedulerSuite | None = None, engine: str = "event",
-        workers: int = 1,
+        suite: SchedulerSuite | None = None, workers: int = 1,
         session: Session | None = None) -> list[ScenarioResult]:
     """Run the meta-scheduler comparison over the adaptive scenarios."""
     grid = plan(scenarios=scenarios, n_mixes=n_mixes, seed=seed,
-                engine=engine, workers=workers)
+                workers=workers)
     if session is not None:
         return session.run(grid)
     with Session(suite=suite) as own_session:

@@ -56,7 +56,6 @@ class TestValidation:
 
     @pytest.mark.parametrize("overrides", [
         {"n_mixes": 0}, {"workers": 0}, {"time_step_min": 0.0},
-        {"engine": "warp"},
         {"n_mixes": 2.5}, {"n_mixes": True},
         {"workers": True}, {"workers": 1.5},
         {"seed": 1.5}, {"seed": True}, {"seed": -1},
@@ -78,8 +77,8 @@ class TestDerivedViews:
 
     def test_with_options_revalidates(self):
         plan = ExperimentPlan(schemes=("oracle",), scenarios=("L1",))
-        wide = plan.with_options(workers=4, engine="fixed")
-        assert (wide.workers, wide.engine) == (4, "fixed")
+        wide = plan.with_options(workers=4, n_mixes=2)
+        assert (wide.workers, wide.n_mixes) == (4, 2)
         assert plan.workers == 1  # original untouched
         with pytest.raises(PlanError):
             plan.with_options(workers=-1)

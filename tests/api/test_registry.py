@@ -55,13 +55,6 @@ class TestBuiltins:
                      "unified_power_law"):
             assert scheme_info(name).requires is None
 
-    def test_known_schemes_compat_is_a_live_registry_view(self, temp_scheme):
-        from repro.experiments import common
-
-        assert temp_scheme in common.KNOWN_SCHEMES
-        unregister_scheme(temp_scheme)
-        assert temp_scheme not in common.KNOWN_SCHEMES
-
 
 class TestRoundTrip:
     def test_register_factory_unregister(self, temp_scheme):

@@ -42,7 +42,7 @@ class TestStreaming:
         plan = ExperimentPlan(schemes=("pairwise",), scenarios=("L1",),
                               n_mixes=1)
         [cell] = session.stream(plan)
-        assert cell.engine == "event" and cell.seed == 11
+        assert cell.seed == 11
         assert len(cell.jobs) == 2  # L1 is a 2-app mix
         for record in cell.jobs:
             assert record.turnaround_min > 0
@@ -83,15 +83,6 @@ class TestWorkerInvariance:
                               scenarios=("L1", "L2"), n_mixes=2)
         assert (session.run(base.with_options(workers=2))
                 == session.run(base))
-
-    def test_engines_produce_identical_cells(self, session):
-        import dataclasses
-
-        base = ExperimentPlan(schemes=("pairwise",), scenarios=("L1",),
-                              n_mixes=1)
-        [event] = session.stream(base)
-        [fixed] = session.stream(base.with_options(engine="fixed"))
-        assert fixed == dataclasses.replace(event, engine="fixed")
 
 
 class TestRunOrdering:

@@ -1,11 +1,12 @@
 """Golden equivalence between the fixed-step and event-driven engines.
 
-The event-driven engine claims to *replay* the fixed-step trajectory while
-skipping the steps at which nothing can change.  These tests pin that
-claim on the seed scenario mixes under every registered scheme:
-makespans, per-application turnarounds and utilisation aggregates must
-agree (the acceptance tolerance is 2 %, but the grid-aligned design makes
-them match to floating-point noise).
+The event-driven engine, the one every run uses, claims to *replay* the
+trajectory of the fixed-step reference engine while skipping the steps at
+which nothing can change.  These tests pin that claim on the seed
+scenario mixes under every registered scheme, and on the open-arrival
+heterogeneous demo scenario: makespans, per-application turnarounds and
+utilisation aggregates must agree (the acceptance tolerance is 2 %, but
+the grid-aligned design makes them match to floating-point noise).
 """
 
 import math
@@ -14,9 +15,11 @@ from types import SimpleNamespace
 import pytest
 
 from repro.cluster import Cluster, ClusterSimulator
-from repro.cluster.engine import STEP_MODES, EventDrivenEngine, make_engine
+from repro.cluster.engine import EventDrivenEngine
 from repro.core.moe import MixtureOfExperts
 from repro.core.training import collect_training_data
+from repro.metrics.throughput import evaluate_schedule
+from repro.scenarios import load_scenario
 from repro.scheduling import (
     OnlineSearchScheduler,
     PairwiseScheduler,
@@ -36,16 +39,17 @@ def artefacts():
                            moe=MixtureOfExperts.from_dataset(dataset))
 
 
-def simulate(step_mode, factory, jobs, n_nodes=40, **kwargs):
-    simulator = ClusterSimulator(Cluster.homogeneous(n_nodes), factory(),
-                                 step_mode=step_mode, seed=11, **kwargs)
+def simulate(simulator_type, factory, jobs, n_nodes=40, **kwargs):
+    simulator = simulator_type(Cluster.homogeneous(n_nodes), factory(),
+                               seed=11, **kwargs)
     return simulator.run(jobs)
 
 
 class TestGoldenEquivalence:
     @pytest.mark.parametrize("scheme", sorted(scheme_names()))
-    @pytest.mark.parametrize("scenario", ["L1", "L3", "L5"])
-    def test_seed_scenario_mixes_match(self, scheme, scenario, artefacts):
+    @pytest.mark.parametrize("scenario", ["L1", "L3", "L5", "L8"])
+    def test_seed_scenario_mixes_match(self, scheme, scenario, artefacts,
+                                       simulators):
         mix = make_scenario_mixes(scenario, n_mixes=1, seed=11)[0]
 
         def factory():
@@ -53,8 +57,8 @@ class TestGoldenEquivalence:
             return build_scheduler(scheme, artefacts,
                                    allocation_policy=DynamicAllocationPolicy())
 
-        fixed = simulate("fixed", factory, mix)
-        event = simulate("event", factory, mix)
+        fixed = simulate(simulators["fixed"], factory, mix)
+        event = simulate(simulators["event"], factory, mix)
 
         assert fixed.all_finished() and event.all_finished()
         # Acceptance bound: within 2 % — in practice they are identical.
@@ -68,10 +72,37 @@ class TestGoldenEquivalence:
             assert event.apps[name].turnaround_min() == pytest.approx(
                 app.turnaround_min(), rel=1e-9)
 
-    def test_utilization_samples_are_aligned_and_identical(self):
+    @pytest.mark.parametrize("scheme", ["pairwise", "ours", "oracle"])
+    def test_open_arrival_heterogeneous_demo_matches(self, scheme, artefacts,
+                                                     simulators):
+        """Poisson arrivals on a mixed-node fleet, built from the spec as
+        an experiment cell builds it: identical STP, makespan and finish
+        times on both engines."""
+        spec = load_scenario("poisson_hetero_demo")
+        jobs = spec.make_mixes(n_mixes=1, seed=11)[0]
+        runs = {}
+        for engine, simulator_type in simulators.items():
+            cluster = spec.build_cluster()
+            policy = DynamicAllocationPolicy(max_executors=len(cluster))
+            simulator = simulator_type(
+                cluster,
+                build_scheduler(scheme, artefacts, allocation_policy=policy),
+                seed=11, max_time_min=spec.max_time_min, faults=spec.faults)
+            result = simulator.run(jobs)
+            assert result.all_finished()
+            runs[engine] = (evaluate_schedule(result, jobs, policy),
+                            {name: app.finish_time
+                             for name, app in result.apps.items()})
+        (fixed, fixed_finish), (event, event_finish) = (runs["fixed"],
+                                                        runs["event"])
+        assert event.stp == fixed.stp
+        assert event.makespan_min == fixed.makespan_min
+        assert event_finish == fixed_finish
+
+    def test_utilization_samples_are_aligned_and_identical(self, simulators):
         mix = make_scenario_mixes("L3", n_mixes=1, seed=7)[0]
-        fixed = simulate("fixed", PairwiseScheduler, mix)
-        event = simulate("event", PairwiseScheduler, mix)
+        fixed = simulate(simulators["fixed"], PairwiseScheduler, mix)
+        event = simulate(simulators["event"], PairwiseScheduler, mix)
         # Index i of utilization_times stamps sample i of every node trace.
         for result in (fixed, event):
             for trace in result.utilization_trace.values():
@@ -81,10 +112,10 @@ class TestGoldenEquivalence:
         assert event.mean_node_utilization() == pytest.approx(
             fixed.mean_node_utilization())
 
-    def test_event_counts_match(self):
+    def test_event_counts_match(self, simulators):
         mix = make_scenario_mixes("L2", n_mixes=1, seed=3)[0]
-        fixed = simulate("fixed", make_oracle_scheduler, mix)
-        event = simulate("event", make_oracle_scheduler, mix)
+        fixed = simulate(simulators["fixed"], make_oracle_scheduler, mix)
+        event = simulate(simulators["event"], make_oracle_scheduler, mix)
         for kind in ("app_submitted", "executor_spawned", "executor_finished",
                      "app_finished", "executor_oom"):
             fixed_kinds = [e.kind.value for e in fixed.events.events]
@@ -100,46 +131,35 @@ class TestEventEngineBehaviour:
             def schedule(self, ctx):
                 type(self).calls += 1
 
-        result = simulate("event", IdleScheduler, [Job("HB.Sort", 5.0)],
-                          n_nodes=2, max_time_min=50.0)
+        result = simulate(ClusterSimulator, IdleScheduler,
+                          [Job("HB.Sort", 5.0)], n_nodes=2, max_time_min=50.0)
         assert not result.all_finished()
-        # The rescan tick bounds the scheduler call count far below the
-        # 100 calls the fixed-step engine would make over this horizon.
-        assert IdleScheduler.calls <= 25
+        # The rescan tick wakes the scheduler every five 0.5-min grid
+        # steps: 20 calls over this horizon, where the fixed-step
+        # reference engine would make 100.
+        assert IdleScheduler.calls == 20
 
-    def test_online_search_wake_deadlines_are_honoured(self):
+    def test_online_search_wake_deadlines_are_honoured(self, simulators):
         jobs = [Job("HB.Sort", 30.0), Job("BDB.Grep", 20.0)]
-        fixed = simulate("fixed", OnlineSearchScheduler, jobs, n_nodes=4)
-        event = simulate("event", OnlineSearchScheduler, jobs, n_nodes=4)
+        fixed = simulate(simulators["fixed"], OnlineSearchScheduler, jobs,
+                         n_nodes=4)
+        event = simulate(simulators["event"], OnlineSearchScheduler, jobs,
+                         n_nodes=4)
         for name, app in fixed.apps.items():
             assert event.apps[name].turnaround_min() == pytest.approx(
                 app.turnaround_min(), rel=1e-9)
 
     def test_record_utilization_can_be_disabled(self):
-        result = simulate("event", PairwiseScheduler, [Job("HB.Sort", 10.0)],
-                          n_nodes=2, record_utilization=False)
+        result = simulate(ClusterSimulator, PairwiseScheduler,
+                          [Job("HB.Sort", 10.0)], n_nodes=2,
+                          record_utilization=False)
         assert result.all_finished()
         assert result.utilization_trace == {}
         assert result.utilization_times == []
 
-    def test_unknown_step_mode_rejected(self):
-        with pytest.raises(ValueError):
-            ClusterSimulator(Cluster.homogeneous(1), PairwiseScheduler(),
-                             step_mode="adaptive")
-        with pytest.raises(ValueError):
-            make_engine("adaptive", None)
-        assert set(STEP_MODES) == {"fixed", "event"}
-
-    def test_rescan_interval_must_be_positive(self):
-        simulator = ClusterSimulator(Cluster.homogeneous(1),
-                                     PairwiseScheduler(), step_mode="event")
-        with pytest.raises(ValueError):
-            EventDrivenEngine(simulator, rescan_min=0.0)
-
     def test_alignment_rounds_up_to_grid(self):
         simulator = ClusterSimulator(Cluster.homogeneous(1),
-                                     PairwiseScheduler(), time_step_min=0.5,
-                                     step_mode="event")
+                                     PairwiseScheduler(), time_step_min=0.5)
         engine = EventDrivenEngine(simulator)
         assert engine._align(1.2, 1.0) == pytest.approx(1.5)
         assert engine._align(1.5, 1.0) == pytest.approx(1.5)

@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from repro.cluster import Cluster, ClusterSimulator, EventKind
+from repro.cluster import Cluster, EventKind
 from repro.scheduling import PairwiseScheduler
 from repro.workloads import Job
 
@@ -29,10 +29,10 @@ OOM_HEAVY_JOBS = [
 ]
 
 
-def run_oom_heavy(engine):
+def run_oom_heavy(simulator_type):
     cluster = Cluster.homogeneous(2, ram_gb=16.0, swap_gb=8.0)
-    simulator = ClusterSimulator(cluster, PairwiseScheduler(), seed=11,
-                                 step_mode=engine, max_time_min=20000.0)
+    simulator = simulator_type(cluster, PairwiseScheduler(), seed=11,
+                               max_time_min=20000.0)
     start = time.perf_counter()
     result = simulator.run(OOM_HEAVY_JOBS)
     wall = time.perf_counter() - start
@@ -41,28 +41,27 @@ def run_oom_heavy(engine):
 
 class TestPhasePartition:
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_phase_keys_include_oom(self, engine):
+    def test_phase_keys_include_oom(self, engine, simulators):
         cluster = Cluster.homogeneous(2)
-        simulator = ClusterSimulator(cluster, PairwiseScheduler(),
-                                     step_mode=engine)
+        simulator = simulators[engine](cluster, PairwiseScheduler())
         simulator.run([Job("HB.Sort", 10.0)])
         assert set(simulator.engine.phase_seconds) == {
             "arrivals", "faults", "oom", "schedule", "advance"}
 
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_oom_phase_accrues_on_oom_heavy_run(self, engine):
-        result, simulator, _ = run_oom_heavy(engine)
+    def test_oom_phase_accrues_on_oom_heavy_run(self, engine, simulators):
+        result, simulator, _ = run_oom_heavy(simulators[engine])
         assert result.all_finished()
         assert result.events.count(EventKind.EXECUTOR_OOM) > 0
         assert simulator.engine.phase_seconds["oom"] > 0.0
 
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_phase_sum_approximates_run_wall_clock(self, engine):
+    def test_phase_sum_approximates_run_wall_clock(self, engine, simulators):
         # The keys partition the epoch loop, so their sum must account
         # for (almost) the whole of ``run()``'s wall-clock — anything
         # outside the phases is setup and result assembly, a few percent
         # at most.  A loose floor keeps CI timer noise from flaking.
-        _, simulator, wall = run_oom_heavy(engine)
+        _, simulator, wall = run_oom_heavy(simulators[engine])
         total = sum(simulator.engine.phase_seconds.values())
         assert 0.0 < total <= wall
         assert total >= 0.7 * wall, (

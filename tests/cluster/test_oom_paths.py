@@ -8,7 +8,7 @@ recovery stay stable across engine changes.
 
 import pytest
 
-from repro.cluster import Cluster, ClusterSimulator, EventKind
+from repro.cluster import Cluster, EventKind
 from repro.metrics.throughput import evaluate_schedule
 from repro.scenarios import load_scenario
 from repro.scheduling.registry import build_scheduler
@@ -51,47 +51,50 @@ class OverCommitScheduler:
                 self._placed.add(app.name)
 
 
-def run_sim(scheduler, jobs, n_nodes=2, step_mode="fixed", ram_gb=64.0,
+def run_sim(simulator_type, scheduler, jobs, n_nodes=2, ram_gb=64.0,
             swap_gb=16.0, **kwargs):
     cluster = Cluster.homogeneous(n_nodes, ram_gb=ram_gb, swap_gb=swap_gb)
-    simulator = ClusterSimulator(cluster, scheduler, step_mode=step_mode,
-                                 **kwargs)
+    simulator = simulator_type(cluster, scheduler, **kwargs)
     return simulator.run(jobs), simulator
 
 
 class TestVictimSelection:
     @pytest.mark.parametrize("step_mode", ENGINES)
-    def test_most_recently_placed_executor_is_killed_first(self, step_mode):
+    def test_most_recently_placed_executor_is_killed_first(self, step_mode,
+                                                           simulators):
         # Two ~25 GB footprints on a 16 + 8 GB node exhaust the swap; the
         # later spawn (largest executor id) must be the OOM victim.
         jobs = [Job("BDB.PageRank", 60.0), Job("HB.PageRank", 60.0)]
-        result, _ = run_sim(OverCommitScheduler(data_gb=60.0), jobs,
-                            step_mode=step_mode, ram_gb=16.0, swap_gb=8.0,
-                            max_time_min=20000.0)
+        result, _ = run_sim(simulators[step_mode],
+                            OverCommitScheduler(data_gb=60.0), jobs,
+                            ram_gb=16.0, swap_gb=8.0, max_time_min=20000.0)
         ooms = result.events.of_kind(EventKind.EXECUTOR_OOM)
         assert ooms, "over-committed node must kill an executor"
         assert ooms[0].app == "HB.PageRank"
         assert result.all_finished()
 
     @pytest.mark.parametrize("step_mode", ENGINES)
-    def test_kills_repeat_until_the_rest_fits_in_ram_plus_swap(self, step_mode):
-        result, _ = run_sim(OverCommitScheduler(data_gb=60.0), OVERLOAD_JOBS,
-                            n_nodes=3, step_mode=step_mode,
-                            max_time_min=20000.0)
+    def test_kills_repeat_until_the_rest_fits_in_ram_plus_swap(self, step_mode,
+                                                               simulators):
+        result, _ = run_sim(simulators[step_mode],
+                            OverCommitScheduler(data_gb=60.0), OVERLOAD_JOBS,
+                            n_nodes=3, max_time_min=20000.0)
         # ~137 GB of resident memory against an 80 GB budget requires at
         # least three successive kills before the remainder fits.
         assert result.events.count(EventKind.EXECUTOR_OOM) >= 3
         assert result.all_finished()
 
     @pytest.mark.parametrize("step_mode", ENGINES)
-    def test_single_executor_is_never_killed_even_beyond_swap(self, step_mode):
+    def test_single_executor_is_never_killed_even_beyond_swap(self, step_mode,
+                                                              simulators):
         # A lone 25 GB executor on an 8 + 8 GB node is far beyond RAM and
         # swap, but the kill loop requires at least two co-runners: the
         # executor thrashes at the paging penalty and still completes.
         jobs = [Job("BDB.PageRank", 60.0)]
-        result, _ = run_sim(OverCommitScheduler(data_gb=60.0), jobs,
-                            n_nodes=1, step_mode=step_mode, ram_gb=8.0,
-                            swap_gb=8.0, max_time_min=50000.0)
+        result, _ = run_sim(simulators[step_mode],
+                            OverCommitScheduler(data_gb=60.0), jobs,
+                            n_nodes=1, ram_gb=8.0, swap_gb=8.0,
+                            max_time_min=50000.0)
         assert result.events.count(EventKind.EXECUTOR_OOM) == 0
         assert result.events.count(EventKind.NODE_PAGING) > 0
         assert result.all_finished()
@@ -99,10 +102,11 @@ class TestVictimSelection:
 
 class TestIsolatedRerun:
     @pytest.mark.parametrize("step_mode", ENGINES)
-    def test_oom_data_reruns_on_idle_node_with_full_ram(self, step_mode):
-        result, simulator = run_sim(OverCommitScheduler(data_gb=60.0),
+    def test_oom_data_reruns_on_idle_node_with_full_ram(self, step_mode,
+                                                        simulators):
+        result, simulator = run_sim(simulators[step_mode],
+                                    OverCommitScheduler(data_gb=60.0),
                                     OVERLOAD_JOBS, n_nodes=3,
-                                    step_mode=step_mode,
                                     max_time_min=20000.0)
         assert result.all_finished()
         # Every byte of the killed executors' data was eventually processed.
@@ -115,10 +119,11 @@ class TestIsolatedRerun:
         assert all(v <= 1e-9 for v in simulator.oom_retry_gb.values())
 
     @pytest.mark.parametrize("step_mode", ENGINES)
-    def test_app_is_not_finalized_while_retry_data_pending(self, step_mode):
-        result, _ = run_sim(OverCommitScheduler(data_gb=60.0), OVERLOAD_JOBS,
-                            n_nodes=3, step_mode=step_mode,
-                            max_time_min=20000.0)
+    def test_app_is_not_finalized_while_retry_data_pending(self, step_mode,
+                                                           simulators):
+        result, _ = run_sim(simulators[step_mode],
+                            OverCommitScheduler(data_gb=60.0), OVERLOAD_JOBS,
+                            n_nodes=3, max_time_min=20000.0)
         killed = {e.app for e in result.events.of_kind(EventKind.EXECUTOR_OOM)}
         assert killed
         for name in killed:
@@ -128,17 +133,17 @@ class TestIsolatedRerun:
             assert result.apps[name].finish_time > max(oom_times)
 
     @pytest.mark.parametrize("step_mode", ENGINES)
-    def test_oom_returns_unprocessed_data_only(self, step_mode):
-        result, _ = run_sim(OverCommitScheduler(data_gb=60.0), OVERLOAD_JOBS,
-                            n_nodes=3, step_mode=step_mode,
-                            max_time_min=20000.0)
+    def test_oom_returns_unprocessed_data_only(self, step_mode, simulators):
+        result, _ = run_sim(simulators[step_mode],
+                            OverCommitScheduler(data_gb=60.0), OVERLOAD_JOBS,
+                            n_nodes=3, max_time_min=20000.0)
         for event in result.events.of_kind(EventKind.EXECUTOR_OOM):
             returned = float(event.detail.split("returned=")[1].rstrip("GB"))
             assert 0.0 <= returned <= 60.0 + 1e-6
 
 
 class TestEnginesAgreeAfterKills:
-    def test_event_engine_reruns_killed_data_one_step_later(self):
+    def test_event_engine_reruns_killed_data_one_step_later(self, simulators):
         # On regime_shift (seed 11) pairwise co-locations exhaust swap:
         # at t=96.0 OOM kills free nodes 14-19, and the fixed engine
         # re-places work there at 96.5.  The event engine must wake on
@@ -151,8 +156,8 @@ class TestEnginesAgreeAfterKills:
             policy = DynamicAllocationPolicy(max_executors=len(cluster))
             scheduler = build_scheduler("pairwise", None,
                                         allocation_policy=policy)
-            result = ClusterSimulator(
-                cluster, scheduler, seed=11, step_mode=step_mode,
+            result = simulators[step_mode](
+                cluster, scheduler, seed=11,
                 max_time_min=spec.max_time_min, faults=spec.faults).run(jobs)
             assert result.events.count(EventKind.EXECUTOR_OOM) > 0
             runs[step_mode] = (

@@ -112,6 +112,18 @@ class TestBasicExecution:
                          max_time_min=10.0)
         assert not result.all_finished()
 
+    @pytest.mark.parametrize("field, value", [
+        ("time_step_min", float("nan")), ("time_step_min", float("inf")),
+        ("time_step_min", True),
+        ("max_time_min", float("nan")), ("max_time_min", float("inf")),
+        ("max_time_min", True),
+    ])
+    def test_bad_time_inputs_are_rejected_naming_the_field(self, field,
+                                                           value):
+        with pytest.raises(ValueError, match=field):
+            ClusterSimulator(Cluster.homogeneous(1), IdleScheduler(),
+                             **{field: value})
+
 
 class TestInterferenceAndFailures:
     def test_under_provisioning_causes_paging_or_oom(self):

@@ -64,9 +64,9 @@ def assert_tallies_exact(sim, ctx) -> None:
     assert list(zip(in_flight, active)) == [walked(app) for app in apps]
 
 
-def started(jobs, step_mode="event"):
+def started(jobs):
     cluster = Cluster.homogeneous(N_NODES)
-    sim = ClusterSimulator(cluster, Idle(), step_mode=step_mode)
+    sim = ClusterSimulator(cluster, Idle())
     ctx = sim.start(jobs)
     sim.process_arrivals(ctx, 0.0)
     return sim, ctx
@@ -198,10 +198,10 @@ def test_tallies_cover_an_app_that_arrives_after_the_snapshot():
 
 
 @pytest.mark.parametrize("step_mode", ["event", "fixed"])
-def test_tallies_follow_progress_that_moves_no_version(step_mode):
+def test_tallies_follow_progress_that_moves_no_version(step_mode, simulators):
     jobs = [Job("HB.Sort", 400.0, order=0), Job("BDB.Grep", 400.0, order=1)]
     cluster = Cluster.homogeneous(N_NODES)
-    sim = ClusterSimulator(cluster, Idle(), step_mode=step_mode)
+    sim = simulators[step_mode](cluster, Idle())
     ctx = sim.start(jobs)
     epochs = sim.engine.epochs(ctx)
     try:

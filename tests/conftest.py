@@ -28,6 +28,24 @@ def run_grid():
     return call
 
 
+@pytest.fixture(scope="session")
+def simulators():
+    """Simulator classes by engine name, for the engine-parity tests.
+
+    ``"event"`` is :class:`~repro.cluster.simulator.ClusterSimulator`
+    itself, which always runs the event-driven engine.  ``"fixed"`` is a
+    subclass whose ``engine_type`` is the fixed-step reference engine: no
+    public option selects it, so the tests build it here.
+    """
+    from repro.cluster.engine import FixedStepEngine
+    from repro.cluster.simulator import ClusterSimulator
+
+    class FixedStepSimulator(ClusterSimulator):
+        engine_type = FixedStepEngine
+
+    return {"fixed": FixedStepSimulator, "event": ClusterSimulator}
+
+
 def compensated_sum(iterable, /, start=0):
     """The builtin ``sum`` as CPython 3.12 computes it.
 

@@ -75,6 +75,11 @@ class TestReset:
         with pytest.raises(ValueError, match="reward"):
             SchedulingEnv(TINY, reward="profit")
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), True])
+    def test_non_finite_or_boolean_time_step_is_rejected(self, value):
+        with pytest.raises(ValueError, match="time_step_min"):
+            SchedulingEnv(TINY, time_step_min=value)
+
 
 class TestStepping:
     def test_step_before_reset_is_an_error(self):

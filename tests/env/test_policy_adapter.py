@@ -3,8 +3,8 @@
 Driving a registered scheme through :class:`repro.env.SchedulingEnv` via
 :class:`repro.env.PolicyAdapter` must reproduce the native engine path —
 STP, ANTT and the per-job records, bit-for-bit — on both the closed
-seed scenario (L1) and the dynamic-cluster scenario (churn20), under
-both simulation engines, for a prediction-free scheme and a trained one.
+seed scenario (L1) and the dynamic-cluster scenario (churn20), for a
+prediction-free scheme and a trained one.
 """
 
 import pytest
@@ -24,9 +24,9 @@ def session():
         yield shared
 
 
-def _native_cell(session, scheme, scenario, engine):
+def _native_cell(session, scheme, scenario):
     plan = ExperimentPlan(schemes=(scheme,), scenarios=(scenario,),
-                          n_mixes=1, seed=11, engine=engine)
+                          n_mixes=1, seed=11)
     [cell] = session.stream(plan)
     return cell
 
@@ -35,9 +35,8 @@ class TestAdapterMatchesNativeBitForBit:
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("scenario", ["L1", "churn20"])
     def test_event_engine(self, session, scheme, scenario):
-        episode = session.rollout(scenario, policy=scheme, seed=11,
-                                  engine="event")
-        cell = _native_cell(session, scheme, scenario, "event")
+        episode = session.rollout(scenario, policy=scheme, seed=11)
+        cell = _native_cell(session, scheme, scenario)
         assert episode.stp == cell.stp
         assert episode.antt == cell.antt
         assert episode.antt_reduction_percent == cell.antt_reduction_percent
@@ -45,28 +44,10 @@ class TestAdapterMatchesNativeBitForBit:
         assert episode.jobs == cell.jobs
         assert episode.faults == cell.faults
 
-    @pytest.mark.parametrize("scheme", ["pairwise"])
-    @pytest.mark.parametrize("scenario", ["L1", "churn20"])
-    def test_fixed_engine(self, session, scheme, scenario):
-        episode = session.rollout(scenario, policy=scheme, seed=11,
-                                  engine="fixed")
-        cell = _native_cell(session, scheme, scenario, "fixed")
-        assert episode.stp == cell.stp
-        assert episode.antt == cell.antt
-        assert episode.jobs == cell.jobs
-        assert episode.faults == cell.faults
-
-    def test_trained_scheme_fixed_engine_on_l1(self, session):
-        episode = session.rollout("L1", policy="ours", seed=11,
-                                  engine="fixed")
-        cell = _native_cell(session, "ours", "L1", "fixed")
-        assert episode.stp == cell.stp
-        assert episode.jobs == cell.jobs
-
     def test_adapter_instance_can_be_passed_directly(self, session):
         adapter = PolicyAdapter("pairwise", suite=session.suite)
         episode = rollout("L1", adapter, seed=11)
-        cell = _native_cell(session, "pairwise", "L1", "event")
+        cell = _native_cell(session, "pairwise", "L1")
         assert episode.stp == cell.stp
         assert episode.policy == "pairwise"
 

@@ -66,6 +66,13 @@ class TestEpisodeResultRoundTrip:
         assert EpisodeResult.from_json(path) == episode
         assert EpisodeResult.from_json(episode.to_json()) == episode
 
+    def test_episodes_recorded_with_an_engine_still_load(self):
+        # Episodes written while rollouts chose an engine carry that key;
+        # the option is gone, so loading drops it.
+        episode = rollout("L1", GreedyPolicy(), seed=11)
+        payload = dict(episode.to_dict(), engine="fixed")
+        assert EpisodeResult.from_dict(payload) == episode
+
     def test_session_rollout_uses_session_artefacts(self):
         with Session() as session:
             episode = session.rollout("L1", policy="random", seed=11)

@@ -106,11 +106,9 @@ class TestLearnedSchemeIntegration:
         model = PolicyNetwork.load(DEFAULT_CHECKPOINT)
         assert model.metadata.get("scenario") == "churn20"
 
-    @pytest.mark.parametrize("engine", ["event", "fixed"])
-    def test_learned_runs_in_a_grid_next_to_pairwise(self, engine):
+    def test_learned_runs_in_a_grid_next_to_pairwise(self):
         plan = ExperimentPlan(schemes=("pairwise", "learned"),
-                              scenarios=("L1",), n_mixes=1, seed=7,
-                              engine=engine)
+                              scenarios=("L1",), n_mixes=1, seed=7)
         with Session() as session:
             results = session.run(plan)
         by_scheme = {r.scheme: r for r in results}
@@ -165,7 +163,6 @@ class TestTrainConfigValidation:
         ("hidden", (32, -1)),
         ("hidden", (32.0,)),
         ("reward", "nope"),
-        ("engine", "warp"),
     ])
     def test_bad_value_is_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):

@@ -29,14 +29,13 @@ class TestCli:
         out = capsys.readouterr().out
         assert "CPU load distribution" in out
 
-    def test_engine_and_workers_flags_are_accepted(self, capsys):
-        assert cli.main(["fig13", "--quick", "--engine", "fixed",
-                         "--workers", "2"]) == 0
+    def test_workers_flag_is_accepted(self, capsys):
+        assert cli.main(["fig13", "--quick", "--workers", "2"]) == 0
         assert "CPU load distribution" in capsys.readouterr().out
 
-    def test_invalid_engine_is_rejected(self):
+    def test_retired_engine_flag_is_rejected(self):
         with pytest.raises(SystemExit):
-            cli.main(["fig13", "--engine", "warp"])
+            cli.main(["fig13", "--engine", "event"])
 
     def test_invalid_worker_count_is_rejected(self):
         with pytest.raises(SystemExit):

@@ -6,7 +6,7 @@ counterpart of the retired ``run_scenarios`` barrier shim.
 
 import pytest
 
-from repro.experiments.common import SchedulerSuite
+from repro.api import SchedulerSuite
 
 
 @pytest.fixture(scope="module")
@@ -31,15 +31,6 @@ class TestParallelRunner:
         parallel = run_grid(("pairwise", "ours"),
                                             workers=2, **kwargs)
         assert parallel == sequential
-
-    def test_engines_produce_identical_grid_results(self, suite,
-                                                    run_grid):
-        kwargs = dict(scenarios=("L1",), n_mixes=1, suite=suite)
-        fixed = run_grid(("pairwise",), engine="fixed",
-                                         **kwargs)
-        event = run_grid(("pairwise",), engine="event",
-                                         **kwargs)
-        assert event == fixed
 
     def test_row_order_is_scenario_major(self, suite,
                                          run_grid):

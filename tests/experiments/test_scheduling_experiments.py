@@ -3,7 +3,7 @@
 import pytest
 
 from repro.experiments import fig6_overall, fig11_12_overhead, fig14_interference, headline
-from repro.experiments.common import SchedulerSuite, overall_geomean
+from repro.api import SchedulerSuite, overall_geomean
 
 
 @pytest.fixture(scope="module")

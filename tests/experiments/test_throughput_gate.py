@@ -8,6 +8,10 @@ _spec = importlib.util.spec_from_file_location(
     "compare_baseline", ROOT / "benchmarks" / "compare_baseline.py")
 compare_baseline = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(compare_baseline)
+_spec = importlib.util.spec_from_file_location(
+    "throughput", ROOT / "benchmarks" / "throughput.py")
+throughput = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(throughput)
 
 
 def tier(events_per_s: float, events: int = 80_000,
@@ -60,7 +64,8 @@ class TestCiTierGate:
 
         committed = json.loads((ROOT / "BENCH_throughput.json").read_text())
         assert gate(committed, committed) == []
-        assert set(committed["tiers"]["ci"]) == {"scenario", "vector"}
+        assert set(committed["tiers"]["ci"]) == {"scenario", "scheme",
+                                                 "vector"}
         # The array kernel's acceptance, recorded when the per-object
         # kernel still existed: the mega tier ran several times its
         # events/sec at the same commit, bit for bit.
@@ -73,8 +78,28 @@ class TestCiTierGate:
         queue = committed["tiers"]["queue"]["vector"]
         prior = committed["prerefactor_baseline"]["queue"]
         assert queue["events_per_s"] >= 3.0 * prior["events_per_s"]
-        assert set(queue["phases_s"]) == {"arrivals", "faults", "schedule",
-                                          "advance", "other"}
+        assert set(queue["phases_s"]) == {"arrivals", "faults", "oom",
+                                          "schedule", "advance", "other"}
+
+    def test_committed_report_pins_every_scheme_tier(self):
+        """Each scheme timed on the CI slice has a committed trajectory
+        (events and makespan) for the gate to pin, from a complete run."""
+        import json
+
+        committed = json.loads((ROOT / "BENCH_throughput.json").read_text())
+        ci_scenario = throughput.TIERS["ci"][0]
+        scheme_tiers = {name: scheme
+                        for name, (scenario, scheme) in throughput.TIERS.items()
+                        if scenario == ci_scenario}
+        assert set(scheme_tiers) == {"ci", "ours", "oracle", "meta",
+                                     "online_search", "learned"}
+        for name, scheme in scheme_tiers.items():
+            entry = committed["tiers"][name]
+            assert (entry["scenario"], entry["scheme"]) == (ci_scenario,
+                                                            scheme)
+            run = entry["vector"]
+            assert run["events"] > 0 and run["makespan_min"] > 0
+            assert run["jobs_finished"] == run["jobs"]
 
 
 class TestNormalizedTierGate:

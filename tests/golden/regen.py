@@ -72,9 +72,21 @@ CASES: tuple[tuple[str, str], ...] = tuple(
           for scenario in ("L1", "L5", "churn20", "L8"))
 
 #: Every committed trace pins the same draw: the CLI's default seed on
-#: the default (event-driven) engine.
+#: the event-driven engine, the one every run uses.
 SEED = 11
 ENGINE = "event"
+
+
+def simulator_type(engine: str):
+    """``ClusterSimulator`` for the event engine, or for ``"fixed"`` a
+    subclass whose ``engine_type`` is the fixed-step reference engine."""
+    from repro.cluster.engine import FixedStepEngine
+    from repro.cluster.simulator import ClusterSimulator
+
+    class FixedStepSimulator(ClusterSimulator):
+        engine_type = FixedStepEngine
+
+    return {"fixed": FixedStepSimulator, "event": ClusterSimulator}[engine]
 
 
 def trace_path(scenario: str, scheme: str) -> Path:
@@ -121,7 +133,6 @@ def make_trace(scenario: str, scheme: str, seed: int = SEED,
     a committed document compares exactly what the file stores (Python
     float repr round-trips bit-for-bit).
     """
-    from repro.cluster.simulator import ClusterSimulator
     from repro.metrics.throughput import evaluate_schedule, matched_apps
     from repro.scenarios import load_scenario
     from repro.spark.driver import DynamicAllocationPolicy
@@ -130,10 +141,9 @@ def make_trace(scenario: str, scheme: str, seed: int = SEED,
     cluster = spec.build_cluster()
     policy = DynamicAllocationPolicy(max_executors=len(cluster))
     scheduler = build(scheme, policy)
-    simulator = ClusterSimulator(cluster, scheduler, seed=seed,
-                                 step_mode=engine,
-                                 max_time_min=spec.max_time_min,
-                                 faults=spec.faults)
+    simulator = simulator_type(engine)(cluster, scheduler, seed=seed,
+                                       max_time_min=spec.max_time_min,
+                                       faults=spec.faults)
     jobs = spec.make_mixes(n_mixes=1, seed=seed)[0]
     result = simulator.run(jobs)
     evaluation = evaluate_schedule(result, jobs, policy)

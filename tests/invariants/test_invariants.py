@@ -29,7 +29,6 @@ import pytest
 
 from repro.cluster.events import EventKind
 from repro.cluster.faults import FaultSpec
-from repro.cluster.simulator import ClusterSimulator
 from repro.metrics.throughput import evaluate_schedule
 from repro.scenarios import ScenarioSpec
 from repro.scheduling.registry import build_scheduler
@@ -115,16 +114,15 @@ class SpawnOnDownNodeChecker:
             f"down node {event.node_id} at t={event.time:g}min")
 
 
-def run_draw(spec: ScenarioSpec, scheme: str, engine: str, seed: int):
+def run_draw(spec: ScenarioSpec, scheme: str, simulator_type, seed: int):
     """Simulate one draw; returns (result, jobs, policy, checker)."""
     cluster = spec.build_cluster()
     policy = DynamicAllocationPolicy(max_executors=len(cluster))
     scheduler = build_scheduler(scheme, None, allocation_policy=policy,
                                 **_SCHEME_KWARGS.get(scheme, {}))
-    simulator = ClusterSimulator(cluster, scheduler, seed=seed,
-                                 step_mode=engine,
-                                 max_time_min=spec.max_time_min,
-                                 faults=spec.faults)
+    simulator = simulator_type(cluster, scheduler, seed=seed,
+                               max_time_min=spec.max_time_min,
+                               faults=spec.faults)
     checker = SpawnOnDownNodeChecker(cluster, seed).attach(simulator.events)
     jobs = spec.make_mixes(n_mixes=1, seed=seed)[0]
     result = simulator.run(jobs)
@@ -165,17 +163,18 @@ def assert_log_monotone(result, seed: int) -> None:
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_kernel_invariants(seed):
+def test_kernel_invariants(seed, simulators):
     spec, scheme = draw_scenario(seed)
     result, jobs, policy, simulator, checker = run_draw(
-        spec, scheme, "event", seed)
+        spec, scheme, simulators["event"], seed)
     assert checker.spawns > 0, f"seed {seed}: nothing was ever scheduled"
     assert_conservation(result, simulator, seed)
     assert_log_monotone(result, seed)
 
     if seed not in ENGINE_EQUALITY_SEEDS:
         return
-    fixed_result, _, _, fixed_sim, _ = run_draw(spec, scheme, "fixed", seed)
+    fixed_result, _, _, fixed_sim, _ = run_draw(spec, scheme,
+                                                simulators["fixed"], seed)
     assert_conservation(fixed_result, fixed_sim, seed)
     event_eval = evaluate_schedule(result, jobs, policy)
     fixed_eval = evaluate_schedule(fixed_result, jobs, policy)

@@ -152,8 +152,7 @@ class TestSessionUsesStreaming:
             [cell] = list(session.stream(plan))
         jobs = plan.scenarios[0].make_mixes(n_mixes=1, seed=plan.seed)[0]
         simulator = ClusterSimulator(Cluster.homogeneous(40),
-                                     PairwiseScheduler(), seed=plan.seed,
-                                     step_mode="event")
+                                     PairwiseScheduler(), seed=plan.seed)
         reference = evaluate_schedule(simulator.run(jobs), jobs)
         assert cell.stp == reference.stp
         assert cell.antt == reference.antt

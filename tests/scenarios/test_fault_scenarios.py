@@ -9,7 +9,7 @@ scenarios run end-to-end.
 
 import pytest
 
-from repro.cluster import Cluster, ClusterSimulator
+from repro.cluster import Cluster
 from repro.cluster.faults import FaultEvent, FaultSpec
 from repro.scenarios import scenario, scenario_names
 from repro.scheduling import (
@@ -44,10 +44,9 @@ STORM = FaultSpec(
     horizon_min=400.0)
 
 
-def simulate(step_mode, factory, jobs, seed=11, n_nodes=40, **kwargs):
-    simulator = ClusterSimulator(Cluster.homogeneous(n_nodes), factory(),
-                                 step_mode=step_mode, seed=seed,
-                                 faults=STORM, **kwargs)
+def simulate(simulator_type, factory, jobs, seed=11, n_nodes=40, **kwargs):
+    simulator = simulator_type(Cluster.homogeneous(n_nodes), factory(),
+                               seed=seed, faults=STORM, **kwargs)
     return simulator.run(jobs)
 
 
@@ -91,23 +90,25 @@ def assert_equivalent(fixed, event):
 
 class TestFaultGoldenEquivalence:
     @pytest.mark.parametrize("scheme", sorted(SCHEDULERS))
-    def test_batch_mix_under_fault_storm(self, scheme):
+    def test_batch_mix_under_fault_storm(self, scheme, simulators):
         mix = make_scenario_mixes("L3", n_mixes=1, seed=11)[0]
-        fixed = simulate("fixed", SCHEDULERS[scheme], mix)
-        event = simulate("event", SCHEDULERS[scheme], mix)
+        fixed = simulate(simulators["fixed"], SCHEDULERS[scheme], mix)
+        event = simulate(simulators["event"], SCHEDULERS[scheme], mix)
         assert_equivalent(fixed, event)
 
     @pytest.mark.parametrize("seed", [3, 11, 29])
-    def test_property_seeded_storms_stay_equivalent(self, seed):
+    def test_property_seeded_storms_stay_equivalent(self, seed, simulators):
         """Property-style: whatever storm a seed realizes, engines agree."""
         mix = make_scenario_mixes("L2", n_mixes=1, seed=seed)[0]
-        fixed = simulate("fixed", make_oracle_scheduler, mix, seed=seed)
-        event = simulate("event", make_oracle_scheduler, mix, seed=seed)
+        fixed = simulate(simulators["fixed"], make_oracle_scheduler, mix,
+                         seed=seed)
+        event = simulate(simulators["event"], make_oracle_scheduler, mix,
+                         seed=seed)
         assert_equivalent(fixed, event)
         # The storm actually did something, under both engines.
         assert fixed.fault_summary.node_failures >= 1
 
-    def test_open_arrivals_interleaved_with_faults(self):
+    def test_open_arrivals_interleaved_with_faults(self, simulators):
         """Arrival process + fault timeline compose on one clock."""
         import numpy as np
 
@@ -115,8 +116,10 @@ class TestFaultGoldenEquivalence:
         arrivals = ArrivalSpec(kind="poisson", rate_per_min=0.2)
         jobs = arrivals.apply(mix, np.random.default_rng(5))
         assert any(job.submit_time_min > 0 for job in jobs)
-        fixed = simulate("fixed", make_oracle_scheduler, jobs, seed=5)
-        event = simulate("event", make_oracle_scheduler, jobs, seed=5)
+        fixed = simulate(simulators["fixed"], make_oracle_scheduler, jobs,
+                         seed=5)
+        event = simulate(simulators["event"], make_oracle_scheduler, jobs,
+                         seed=5)
         assert_equivalent(fixed, event)
         # Jobs kept arriving while the cluster churned: some submission
         # happened after the first fault fired.
@@ -135,14 +138,15 @@ class TestFaultRegistryScenarios:
             assert scenario(name).faults is not None
 
     @pytest.mark.parametrize("name", ["flaky_nodes", "preemptible"])
-    def test_fault_scenarios_run_end_to_end_on_both_engines(self, name):
+    def test_fault_scenarios_run_end_to_end_on_both_engines(self, name,
+                                                            simulators):
         spec = scenario(name)
         mixes = spec.make_mixes(n_mixes=1, seed=11)
         results = {}
-        for mode in ("fixed", "event"):
-            simulator = ClusterSimulator(spec.build_cluster(),
-                                         PairwiseScheduler(), seed=11,
-                                         step_mode=mode, faults=spec.faults,
-                                         max_time_min=spec.max_time_min)
+        for mode, simulator_type in simulators.items():
+            simulator = simulator_type(spec.build_cluster(),
+                                       PairwiseScheduler(), seed=11,
+                                       faults=spec.faults,
+                                       max_time_min=spec.max_time_min)
             results[mode] = simulator.run(mixes[0])
         assert_equivalent(results["fixed"], results["event"])

@@ -100,10 +100,11 @@ class TestHeterogeneousScheduling:
     @pytest.mark.parametrize("factory", [make_oracle_scheduler,
                                          PairwiseScheduler])
     @pytest.mark.parametrize("step_mode", ["fixed", "event"])
-    def test_no_reservation_exceeds_its_nodes_ram(self, factory, step_mode):
+    def test_no_reservation_exceeds_its_nodes_ram(self, factory, step_mode,
+                                                  simulators):
         cluster = self.hetero_cluster()
         ram_by_node = {n.node_id: n.ram_gb for n in cluster.nodes}
-        simulator = ClusterSimulator(cluster, factory(), step_mode=step_mode)
+        simulator = simulators[step_mode](cluster, factory())
         result = simulator.run(self.MIX)
         assert result.all_finished()
         spawns = result.events.of_kind(EventKind.EXECUTOR_SPAWNED)
@@ -123,11 +124,11 @@ class TestHeterogeneousScheduling:
             budget = float(event.detail.split("budget=")[1].split("GB")[0])
             assert budget <= 12.0 + 1e-6
 
-    def test_engines_agree_on_heterogeneous_cluster(self):
-        fixed = ClusterSimulator(self.hetero_cluster(), make_oracle_scheduler(),
-                                 step_mode="fixed").run(self.MIX)
-        event = ClusterSimulator(self.hetero_cluster(), make_oracle_scheduler(),
-                                 step_mode="event").run(self.MIX)
+    def test_engines_agree_on_heterogeneous_cluster(self, simulators):
+        fixed = simulators["fixed"](self.hetero_cluster(),
+                                    make_oracle_scheduler()).run(self.MIX)
+        event = simulators["event"](self.hetero_cluster(),
+                                    make_oracle_scheduler()).run(self.MIX)
         assert event.makespan_min == pytest.approx(fixed.makespan_min,
                                                    rel=1e-9)
         for name, app in fixed.apps.items():

@@ -15,9 +15,9 @@ from repro.workloads.mixes import make_random_mix
 ENGINES = ("fixed", "event")
 
 
-def simulate(step_mode, factory, jobs, n_nodes=6, **kwargs):
-    simulator = ClusterSimulator(Cluster.homogeneous(n_nodes), factory(),
-                                 step_mode=step_mode, seed=11, **kwargs)
+def simulate(simulator_type, factory, jobs, n_nodes=6, **kwargs):
+    simulator = simulator_type(Cluster.homogeneous(n_nodes), factory(),
+                               seed=11, **kwargs)
     return simulator.run(jobs)
 
 
@@ -30,8 +30,10 @@ def staggered_jobs():
 
 class TestArrivalSemantics:
     @pytest.mark.parametrize("step_mode", ENGINES)
-    def test_submission_events_wait_for_arrival_time(self, step_mode):
-        result = simulate(step_mode, PairwiseScheduler, staggered_jobs())
+    def test_submission_events_wait_for_arrival_time(self, step_mode,
+                                                     simulators):
+        result = simulate(simulators[step_mode], PairwiseScheduler,
+                          staggered_jobs())
         submitted = {e.app: e.time
                      for e in result.events.of_kind(EventKind.APP_SUBMITTED)}
         assert submitted["HB.Sort"] == 0.0
@@ -41,15 +43,18 @@ class TestArrivalSemantics:
         assert submitted["SP.Kmeans"] == pytest.approx(55.0)
 
     @pytest.mark.parametrize("step_mode", ENGINES)
-    def test_no_executor_before_arrival(self, step_mode):
-        result = simulate(step_mode, PairwiseScheduler, staggered_jobs())
+    def test_no_executor_before_arrival(self, step_mode, simulators):
+        result = simulate(simulators[step_mode], PairwiseScheduler,
+                          staggered_jobs())
         for event in result.events.of_kind(EventKind.EXECUTOR_SPAWNED):
             if event.app.startswith("SP.Kmeans"):
                 assert event.time >= 55.0
 
     @pytest.mark.parametrize("step_mode", ENGINES)
-    def test_turnaround_measured_from_true_arrival(self, step_mode):
-        result = simulate(step_mode, PairwiseScheduler, staggered_jobs())
+    def test_turnaround_measured_from_true_arrival(self, step_mode,
+                                                   simulators):
+        result = simulate(simulators[step_mode], PairwiseScheduler,
+                          staggered_jobs())
         assert result.all_finished()
         app = result.apps["BDB.Grep"]
         assert app.submit_time == pytest.approx(7.3)
@@ -57,17 +62,19 @@ class TestArrivalSemantics:
             app.finish_time - 7.3)
 
     @pytest.mark.parametrize("step_mode", ENGINES)
-    def test_simultaneous_arrivals_keep_mix_order(self, step_mode):
-        result = simulate(step_mode, PairwiseScheduler, staggered_jobs())
+    def test_simultaneous_arrivals_keep_mix_order(self, step_mode, simulators):
+        result = simulate(simulators[step_mode], PairwiseScheduler,
+                          staggered_jobs())
         submitted = [e.app
                      for e in result.events.of_kind(EventKind.APP_SUBMITTED)]
         assert submitted.index("BDB.Grep") < submitted.index("HB.Scan")
 
     @pytest.mark.parametrize("step_mode", ENGINES)
-    def test_arrival_beyond_horizon_marks_run_unfinished(self, step_mode):
+    def test_arrival_beyond_horizon_marks_run_unfinished(self, step_mode,
+                                                         simulators):
         jobs = [Job("HB.Sort", 5.0, order=0),
                 Job("BDB.Grep", 5.0, order=1, submit_time_min=500.0)]
-        result = simulate(step_mode, PairwiseScheduler, jobs,
+        result = simulate(simulators[step_mode], PairwiseScheduler, jobs,
                           max_time_min=50.0)
         assert not result.all_finished()
         assert [j.benchmark for j in result.unsubmitted_jobs] == ["BDB.Grep"]
@@ -78,9 +85,9 @@ class TestEngineEquivalenceOpenArrivals:
     @pytest.mark.parametrize("factory", [PairwiseScheduler,
                                          make_oracle_scheduler,
                                          OnlineSearchScheduler])
-    def test_engines_agree_on_staggered_mix(self, factory):
-        fixed = simulate("fixed", factory, staggered_jobs())
-        event = simulate("event", factory, staggered_jobs())
+    def test_engines_agree_on_staggered_mix(self, factory, simulators):
+        fixed = simulate(simulators["fixed"], factory, staggered_jobs())
+        event = simulate(simulators["event"], factory, staggered_jobs())
         assert fixed.all_finished() and event.all_finished()
         assert event.makespan_min == pytest.approx(fixed.makespan_min,
                                                    rel=1e-9)
@@ -90,12 +97,14 @@ class TestEngineEquivalenceOpenArrivals:
         assert event.utilization_times == fixed.utilization_times
         assert event.utilization_trace == fixed.utilization_trace
 
-    def test_engines_agree_on_poisson_arrivals(self):
+    def test_engines_agree_on_poisson_arrivals(self, simulators):
         rng = np.random.default_rng(17)
         jobs = ArrivalSpec(kind="poisson", rate_per_min=0.2).apply(
             make_random_mix(8, rng), rng)
-        fixed = simulate("fixed", make_oracle_scheduler, jobs, n_nodes=8)
-        event = simulate("event", make_oracle_scheduler, jobs, n_nodes=8)
+        fixed = simulate(simulators["fixed"], make_oracle_scheduler, jobs,
+                         n_nodes=8)
+        event = simulate(simulators["event"], make_oracle_scheduler, jobs,
+                         n_nodes=8)
         assert fixed.all_finished() and event.all_finished()
         for name, app in fixed.apps.items():
             assert event.apps[name].turnaround_min() == pytest.approx(
@@ -113,6 +122,6 @@ class TestEngineEquivalenceOpenArrivals:
 
         jobs = [Job("HB.Scan", 5.0, order=0),
                 Job("BDB.Grep", 5.0, order=1, submit_time_min=100.0)]
-        result = simulate("event", CountingPairwise, jobs, n_nodes=2)
+        result = simulate(ClusterSimulator, CountingPairwise, jobs, n_nodes=2)
         assert result.all_finished()
         assert calls["n"] < 40

@@ -2,9 +2,8 @@
 
 import pytest
 
+from repro.api import HorizonTruncationError, SchedulerSuite
 from repro.cluster.cluster import paper_cluster
-from repro.cluster.simulator import ClusterSimulator
-from repro.experiments.common import SchedulerSuite
 from repro.metrics.throughput import evaluate_schedule
 from repro.scenarios import (
     ScenarioSpec,
@@ -103,21 +102,22 @@ class TestSeedGoldenEquivalence:
     @pytest.mark.parametrize("step_mode", ["fixed", "event"])
     @pytest.mark.parametrize("label", ["L1", "L5", "L10"])
     def test_scenario_path_replays_seed_trajectories(self, label, step_mode,
-                                                     run_grid):
+                                                     run_grid, simulators):
         # The seed path: mixes generated by the seed helper, simulated on
         # paper_cluster() with the scheduler's built-in defaults — exactly
-        # what experiments/common.py did before the scenario subsystem.
+        # what the experiment drivers did before the scenario subsystem.
+        # The grid always runs the event engine; the seed path runs on
+        # each engine, so the grid also matches the fixed-step reference.
         suite = SchedulerSuite()
         [mix] = make_scenario_mixes(label, n_mixes=1, seed=11)
-        simulator = ClusterSimulator(paper_cluster(),
-                                     suite.factory("oracle")(),
-                                     time_step_min=0.5, seed=11,
-                                     step_mode=step_mode)
+        simulator = simulators[step_mode](paper_cluster(),
+                                          suite.factory("oracle")(),
+                                          time_step_min=0.5, seed=11)
         seed_eval = evaluate_schedule(simulator.run(mix), mix)
 
         [row] = run_grid(
             ("oracle",), scenarios=(label,), n_mixes=1,
-            seed=11, suite=suite, engine=step_mode)
+            seed=11, suite=suite)
         assert row.scenario == label
         # stp_min/max are the raw per-mix values — exact equality; the
         # geomean aggregate goes through exp(log(x)) and may differ by an
@@ -141,8 +141,6 @@ class TestSeedGoldenEquivalence:
 class TestHorizonTruncation:
     def test_truncated_run_raises_a_named_error(self,
                                                 run_grid):
-        from repro.experiments.common import HorizonTruncationError
-
         spec = ScenarioSpec(name="tight", n_apps=3,
                             arrival=ArrivalSpec(kind="poisson",
                                                 rate_per_min=0.001),

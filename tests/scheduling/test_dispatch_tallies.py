@@ -17,7 +17,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.cluster.simulator import ClusterSimulator, SchedulingContext
+from repro.cluster.simulator import SchedulingContext
 from repro.core.moe import MixtureOfExperts
 from repro.core.training import collect_training_data
 from repro.scenarios import load_scenario
@@ -62,8 +62,8 @@ def assert_exact(app, in_flight, active, where):
 @pytest.mark.parametrize("scenario", SCENARIOS)
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_tallies_match_object_walks(scheme, scenario, engine, artefacts,
-                                    monkeypatch):
-    run_spied(scheme, scenario, engine, artefacts, monkeypatch)
+                                    monkeypatch, simulators):
+    run_spied(scheme, scenario, simulators[engine], artefacts, monkeypatch)
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -71,13 +71,13 @@ def test_tallies_match_object_walks(scheme, scenario, engine, artefacts,
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_tallies_hold_under_python312_sum(scheme, scenario, engine,
                                           artefacts, monkeypatch,
-                                          python312_sum):
+                                          python312_sum, simulators):
     """The same spies when ``sum()`` compensates float rounding, as it
     does from Python 3.12: the walks and the columns must still agree."""
-    run_spied(scheme, scenario, engine, artefacts, monkeypatch)
+    run_spied(scheme, scenario, simulators[engine], artefacts, monkeypatch)
 
 
-def run_spied(scheme, scenario, engine, artefacts, monkeypatch):
+def run_spied(scheme, scenario, simulator_type, artefacts, monkeypatch):
     """Run one cell with both spies installed."""
     counts = {"tallies": 0, "placements": 0, "spawns": 0}
     tallies = SchedulingContext.app_tallies
@@ -103,18 +103,18 @@ def run_spied(scheme, scenario, engine, artefacts, monkeypatch):
     monkeypatch.setattr(SchedulingContext, "app_tallies", spy_tallies)
     monkeypatch.setattr(MemoryAwareCoLocationScheduler, "_place_tallied",
                         spy_place)
-    simulate(scheme, scenario, engine, artefacts)
+    simulate(scheme, scenario, simulator_type, artefacts)
     assert counts["tallies"] > 0 and counts["spawns"] > 0
     assert counts["placements"] > counts["spawns"]
 
 
-def simulate(scheme, scenario, engine, artefacts):
+def simulate(scheme, scenario, simulator_type, artefacts):
     spec = load_scenario(scenario)
     cluster = spec.build_cluster()
     policy = DynamicAllocationPolicy(max_executors=len(cluster))
     scheduler = build_scheduler(scheme, artefacts, allocation_policy=policy)
-    ClusterSimulator(cluster, scheduler, seed=SEED, step_mode=engine,
-                     max_time_min=spec.max_time_min, faults=spec.faults).run(
+    simulator_type(cluster, scheduler, seed=SEED,
+                   max_time_min=spec.max_time_min, faults=spec.faults).run(
         spec.make_mixes(n_mixes=1, seed=SEED)[0])
 
 
@@ -122,7 +122,7 @@ def simulate(scheme, scenario, engine, artefacts):
 @pytest.mark.parametrize("scenario", SCENARIOS)
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_settled_apps_would_place_nothing(scheme, scenario, engine,
-                                          artefacts, monkeypatch):
+                                          artefacts, monkeypatch, simulators):
     """An app gets no offer after one places nothing, and that drops no
     placement: after each pass, one more full round over every waiting
     app places nothing, the stop condition of the historical loop."""
@@ -149,6 +149,6 @@ def test_settled_apps_would_place_nothing(scheme, scenario, engine,
 
     monkeypatch.setattr(MemoryAwareCoLocationScheduler, "_round_robin",
                         staticmethod(spy))
-    simulate(scheme, scenario, engine, artefacts)
+    simulate(scheme, scenario, simulators[engine], artefacts)
     assert counts["calls"] > 0 and counts["spawns"] > 0
 

@@ -47,7 +47,6 @@ def run_churn20(poison: bool):
 
     scheduler.on_cluster_change = hooked
     simulator = ClusterSimulator(cluster, scheduler, seed=SEED,
-                                 step_mode="event",
                                  max_time_min=spec.max_time_min,
                                  faults=spec.faults)
     result = simulator.run(jobs)
