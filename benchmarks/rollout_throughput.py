@@ -4,11 +4,11 @@ Measures end-to-end environment stepping throughput — env steps/sec and
 scheduling decisions/sec — for sampled-collection-style rollouts, in the
 two observation modes the environment offers:
 
-* ``oracle`` — ``obs_mode="dataclass"`` with utilization recording on
-  and the candidate row cache off: the pre-fast-path configuration,
-  re-measured on the same machine so the speedup is hardware-free;
-* ``fast``   — ``obs_mode="features"`` with utilization recording off
-  and the row cache on: the array-backed collection path
+* ``oracle`` — ``obs_mode="dataclass"`` with the candidate row cache
+  off: the pre-fast-path observation path, re-measured on the same
+  machine so the speedup is hardware-free;
+* ``fast``   — ``obs_mode="features"`` with the row cache on: the
+  array-backed collection path
   (:class:`~repro.env.FeatureObservation` filled straight from the
   kernel's state columns, cached candidate feature rows across the
   ``decide_epoch`` fixed point).
@@ -98,8 +98,7 @@ def run_episode(scenario: str, kind: str, mode: str, *,
     fast = mode == "fast"
     policy = make_policy(kind, trace=trace, row_cache=fast)
     env = SchedulingEnv(scenario,
-                        obs_mode="features" if fast else "dataclass",
-                        record_utilization=not fast)
+                        obs_mode="features" if fast else "dataclass")
     policy.reset(SEED)
     tick = time.perf_counter()
     observation = env.reset(seed=SEED,

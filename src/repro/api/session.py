@@ -249,8 +249,7 @@ class Session:
                 reward: str = "stp_delta",
                 time_step_min: float = 0.5, max_steps: int | None = None,
                 record_rewards: bool = False,
-                obs_mode: str = "dataclass",
-                record_utilization: bool = True):
+                obs_mode: str = "dataclass"):
         """Run one scheduling-environment episode; returns an
         :class:`~repro.env.EpisodeResult`.
 
@@ -265,9 +264,8 @@ class Session:
         :class:`~repro.scenarios.spec.ScenarioSpec`.
         ``record_rewards`` keeps the per-step reward trace on the
         result.  ``obs_mode="features"`` selects the array-backed fast
-        observation path (bit-identical decisions/rewards/STP; see
-        :class:`~repro.env.SchedulingEnv`), and ``record_utilization``
-        forwards to the simulator's utilization telemetry switch.
+        observation path (a bit-identical episode result; see
+        :class:`~repro.env.SchedulingEnv`).
         """
         from repro.env import Policy, make_policy
         from repro.env import rollout as run_episode
@@ -282,8 +280,7 @@ class Session:
                             f"not {type(policy).__name__}")
         return run_episode(scenario, policy, seed=seed, reward=reward,
                            time_step_min=time_step_min, max_steps=max_steps,
-                           record_rewards=record_rewards, obs_mode=obs_mode,
-                           record_utilization=record_utilization)
+                           record_rewards=record_rewards, obs_mode=obs_mode)
 
     def learned_model(self, checkpoint=None):
         """The policy network behind a ``learned`` checkpoint, cached.

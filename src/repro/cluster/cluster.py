@@ -113,10 +113,6 @@ class Cluster:
         """Aggregate physical memory across the cluster."""
         return sum(node.ram_gb for node in self.nodes)
 
-    def total_reserved_memory_gb(self) -> float:
-        """Aggregate memory currently promised to executors."""
-        return sum(node.reserved_memory_gb for node in self.nodes)
-
     def nodes_by_free_memory(self) -> list[Node]:
         """Live nodes sorted by unreserved memory, most available first.
 

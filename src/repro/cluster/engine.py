@@ -395,11 +395,9 @@ class _EngineBase:
     def _samples(self, snap: _Snapshot) -> SampleBatch:
         """The per-node usage sample batch for one ``ClusterSample`` event.
 
-        Column-oriented: hot subscribers read the arrays directly and
-        the O(nodes) row tuples only ever materialise if a consumer
-        iterates the batch.  The id list is copied because node joins
-        append to the state's list in place, while a published batch
-        must keep describing the nodes it sampled.
+        The id list is copied because node joins append to the state's
+        list in place, while a published batch must keep describing the
+        nodes it sampled.
         """
         return SampleBatch(list(self.sim.cluster.state.node_ids),
                            snap.total_memory,
@@ -490,16 +488,13 @@ class FixedStepEngine(_EngineBase):
         """
         sim = self.sim
         dt = sim.time_step_min
-        # One usage sample per node per step, published as a single batch
-        # on the bus; the monitor, the trace recorder and the streaming
-        # statistics all consume the same event, so index ``i`` of the
-        # recorded times is the sample time of index ``i`` of every node
-        # trace.
-        samples: list[tuple[int, float, float, float]] = []
-        for node in sim.cluster.nodes:
+        # One usage sample per node per step, published as one batch of
+        # columns like every other epoch's; idle nodes sample zero.
+        n = len(sim.cluster.nodes)
+        memory, cpu, util = np.zeros(n), np.zeros(n), np.zeros(n)
+        for slot, node in enumerate(sim.cluster.nodes):
             active = node.active_executors()
             if not active:
-                samples.append((node.node_id, 0.0, 0.0, 0.0))
                 continue
 
             active, total_memory = self._resolve_node_oom(
@@ -528,11 +523,13 @@ class FixedStepEngine(_EngineBase):
                         time=now + dt, app=executor.app_name,
                         node_id=node.node_id))
 
-            utilization = min(total_cpu, 1.0) * cpu_factor * 100.0
-            samples.append((node.node_id, total_memory,
-                            min(total_cpu, 1.0), utilization))
-        sim.events.publish(ClusterSample(time=now, times=(now,),
-                                         samples=tuple(samples)))
+            load = min(total_cpu, 1.0)
+            memory[slot], cpu[slot] = total_memory, load
+            util[slot] = load * cpu_factor * 100.0
+        sim.events.publish(ClusterSample(
+            time=now, times=(now,),
+            samples=SampleBatch(list(sim.cluster.state.node_ids),
+                                memory, cpu, util)))
 
 
 class EventDrivenEngine(_EngineBase):

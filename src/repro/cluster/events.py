@@ -249,41 +249,24 @@ class SchedulerWake(Event):
 
 
 class SampleBatch:
-    """Column-oriented per-node usage rows (the engines' usual payload).
+    """Column-oriented per-node usage samples: one entry per cluster node.
 
-    Behaves exactly like the row-oriented
-    ``((node_id, memory_gb, cpu_load, utilization_percent), ...)`` tuple
-    the fixed engine's OOM step publishes — iteration and indexing materialise the
-    rows lazily — but hot subscribers can read the ``node_ids`` /
-    ``memory`` / ``cpu`` / ``util`` columns directly and skip the
-    O(nodes) tuple fan-out per epoch entirely.  The float64 columns
-    round-trip to the identical Python floats the row form would carry,
-    so both payload shapes feed bit-for-bit identical statistics.
+    Subscribers read the ``node_ids`` / ``memory`` / ``cpu`` / ``util``
+    columns directly; nothing builds per-node rows.  The arrays are
+    shared by every subscriber of the event, so they are read, never
+    written in place.
     """
 
-    __slots__ = ("node_ids", "memory", "cpu", "util", "_rows")
+    __slots__ = ("node_ids", "memory", "cpu", "util")
 
     def __init__(self, node_ids, memory, cpu, util) -> None:
         self.node_ids = node_ids  # list[int], one per cluster node
         self.memory = memory      # float64 ndarray, resident GB
         self.cpu = cpu            # float64 ndarray, CPU load in [0, 1]
         self.util = util          # float64 ndarray, utilisation percent
-        self._rows: tuple | None = None
-
-    def _materialize(self) -> tuple:
-        if self._rows is None:
-            self._rows = tuple(zip(self.node_ids, self.memory.tolist(),
-                                   self.cpu.tolist(), self.util.tolist()))
-        return self._rows
 
     def __len__(self) -> int:
         return len(self.node_ids)
-
-    def __iter__(self):
-        return iter(self._materialize())
-
-    def __getitem__(self, index):
-        return self._materialize()[index]
 
 
 @dataclass(frozen=True)
@@ -292,18 +275,15 @@ class ClusterSample(Event):
 
     ``times`` holds the uniform-grid sample timestamps the interval
     covers (a single step for the fixed-step engine, a whole jump for
-    the event engine); ``samples`` holds one
-    ``(node_id, memory_gb, cpu_load, utilization_percent)`` row per
-    cluster node, constant across the interval — either a tuple of
-    tuples (the fixed engine's OOM step) or an equivalent
-    :class:`SampleBatch` (every other epoch).  Subscribers — the resource monitor, the
-    utilisation trace recorder, streaming utilisation statistics — fan
-    the batch out however they need.
+    the event engine); ``samples`` holds each cluster node's memory, CPU
+    load and utilisation, constant across the interval.  Subscribers —
+    the resource monitor and the streaming utilisation statistics — read
+    the batch's columns.
     """
 
     kind: EventKind = EventKind.CLUSTER_SAMPLE
     times: tuple[float, ...] = ()
-    samples: tuple[tuple[int, float, float, float], ...] | SampleBatch = ()
+    samples: SampleBatch | None = None
 
 
 #: High-frequency telemetry kinds dispatched to subscribers but never

@@ -41,7 +41,7 @@ class Node:
 
     __slots__ = ("node_id", "ram_gb", "swap_gb", "cores", "executors",
                  "_is_up", "_speed_factor", "_state", "_slot",
-                 "_dirty", "_active", "_apps",
+                 "_dirty", "_active",
                  "_reserved_memory", "_reserved_cpu")
 
     def __init__(self, node_id: int, ram_gb: float = 64.0,
@@ -74,7 +74,6 @@ class Node:
         # node).
         self._dirty = True
         self._active: list[Executor] = []
-        self._apps: set[str] = set()
         self._reserved_memory = 0.0
         self._reserved_cpu = 0.0
 
@@ -164,7 +163,6 @@ class Node:
             # cannot be done this way — subtraction is not the exact
             # inverse of sequential addition — and still invalidate.)
             self._active.append(executor)
-            self._apps.add(executor.app_name)
             self._reserved_memory += executor.memory_budget_gb
             self._reserved_cpu += executor.cpu_demand
             if self._state is not None:
@@ -192,7 +190,6 @@ class Node:
         if not self._dirty:
             return
         self._active = [e for e in self.executors if e.is_active]
-        self._apps = {e.app_name for e in self._active}
         # Left to right, like the incremental update in ``add_executor``
         # (``sum()`` compensates float rounding from Python 3.12).
         reserved_memory = reserved_cpu = 0.0
@@ -220,11 +217,6 @@ class Node:
         """Executors still running work on this node."""
         self._refresh()
         return list(self._active)
-
-    def applications(self) -> set[str]:
-        """Names of the applications with an active executor on this node."""
-        self._refresh()
-        return set(self._apps)
 
     def rebalance_threads(self) -> None:
         """Evenly distribute the node's cores across active executors.

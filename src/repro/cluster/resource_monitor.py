@@ -7,18 +7,11 @@ implementation reports averages over a 5-minute window read from
 dispatcher may act on slightly stale information — this staleness is part
 of what the simulation reproduces.
 
-Since the event-bus refactor the monitor no longer receives direct calls
-from the engines: it *subscribes* to the transient
+The monitor has one input: it *subscribes* to the transient
 :class:`~repro.cluster.events.ClusterSample` events both engines publish
-(:meth:`ResourceMonitor.attach`).  Two sibling subscribers live here for
-the same reason:
-
-* :class:`UtilizationTraceRecorder` keeps the full per-node utilisation
-  traces used by the Figure 7 heat map (opt-in, O(steps) memory — the
-  one consumer that genuinely needs the matrix);
-* :class:`StreamingUtilization` keeps O(nodes) running means, so
-  headline utilisation numbers are available even when trace recording
-  is disabled.
+(:meth:`ResourceMonitor.attach`).  :class:`StreamingUtilization`, the
+headline utilisation statistic, reads the same stream and keeps
+O(nodes) running means.
 """
 
 from __future__ import annotations
@@ -28,10 +21,10 @@ from collections import deque
 
 import numpy as np
 
+from repro._checks import require_finite
 from repro.cluster.events import EventKind
 
-__all__ = ["ResourceMonitor", "UtilizationTraceRecorder",
-           "StreamingUtilization"]
+__all__ = ["ResourceMonitor", "StreamingUtilization"]
 
 
 class _Batch:
@@ -49,7 +42,7 @@ class _Batch:
 
     __slots__ = ("times", "samples", "_index")
 
-    def __init__(self, times, samples: tuple) -> None:
+    def __init__(self, times, samples) -> None:
         self.times = times
         self.samples = samples
         self._index: dict[int, tuple[float, float]] | None = None
@@ -58,12 +51,9 @@ class _Batch:
         """The (memory_gb, cpu_load) this batch reports for a node."""
         if self._index is None:
             samples = self.samples
-            ids = getattr(samples, "node_ids", None)
-            if ids is not None:  # column-oriented SampleBatch
-                self._index = dict(zip(ids, zip(samples.memory.tolist(),
-                                                samples.cpu.tolist())))
-            else:
-                self._index = {s[0]: (s[1], s[2]) for s in samples}
+            self._index = dict(zip(samples.node_ids,
+                                   zip(samples.memory.tolist(),
+                                       samples.cpu.tolist())))
         return self._index.get(node_id)
 
 
@@ -77,12 +67,13 @@ class ResourceMonitor:
     """
 
     def __init__(self, window_min: float = 5.0) -> None:
+        require_finite("window_min", window_min)
         if window_min <= 0:
             raise ValueError("window_min must be positive")
         self.window_min = window_min
         self._batches: deque[_Batch] = deque()
 
-    def _push(self, times, samples: tuple) -> None:
+    def _push(self, times, samples) -> None:
         """Append a batch and drop batches entirely below the window.
 
         ``times`` is any ascending sequence (the event tuples are stored
@@ -93,29 +84,6 @@ class ResourceMonitor:
         cutoff = times[-1] - self.window_min
         while batches and batches[0].times[-1] < cutoff:
             batches.popleft()
-
-    def record(self, time: float, node_id: int, memory_gb: float,
-               cpu_load: float) -> None:
-        """Record one usage sample for a node.
-
-        Samples older than the averaging window are discarded.
-        """
-        self.record_many([time], node_id, memory_gb, cpu_load)
-
-    def record_many(self, times: list[float], node_id: int, memory_gb: float,
-                    cpu_load: float) -> None:
-        """Record one usage sample per timestamp, with constant values.
-
-        The event-driven engine uses this to backfill the uniform sampling
-        grid over an interval during which a node's usage did not change;
-        the window is trimmed against the newest timestamp.  ``times``
-        must be ascending (both engines pass grid points).
-        """
-        if not times:
-            return
-        if memory_gb < 0 or cpu_load < 0:
-            raise ValueError("usage samples cannot be negative")
-        self._push(list(times), ((node_id, memory_gb, cpu_load),))
 
     def _node_window(self, node_id: int):
         """Yield ``(n_samples_in_window, memory_gb, cpu_load)`` per batch.
@@ -175,58 +143,22 @@ class ResourceMonitor:
         self._push(event.times, event.samples)
 
 
-class UtilizationTraceRecorder:
-    """Full per-node utilisation traces, recorded from the sample stream.
-
-    Reproduces — bit for bit — the trace matrices the engines used to
-    build directly: ``times[i]`` stamps sample ``i`` of every node trace,
-    and a node joining mid-run (autoscale) is back-filled with zeros so
-    every trace always spans the full timeline.
-    """
-
-    def __init__(self) -> None:
-        self.times: list[float] = []
-        self.trace: dict[int, list[float]] = {}
-
-    def attach(self, bus) -> "UtilizationTraceRecorder":
-        """Subscribe to the :class:`ClusterSample` events on a bus."""
-        bus.subscribe(self._on_sample, kinds=(EventKind.CLUSTER_SAMPLE,))
-        return self
-
-    def ensure_node(self, node_id: int) -> None:
-        """Make sure a node has a trace list (zero-padded to now)."""
-        self.trace.setdefault(node_id, [0.0] * len(self.times))
-
-    def _on_sample(self, event) -> None:
-        base = len(self.times)
-        self.times.extend(event.times)
-        n = len(event.times)
-        for node_id, _, _, utilization in event.samples:
-            trace = self.trace.setdefault(node_id, [0.0] * base)
-            trace.extend([utilization] * n)
-
-
 class StreamingUtilization:
     """O(nodes) running utilisation statistics from the sample stream.
 
-    The streaming counterpart of averaging the full trace matrix: per
+    The mean of every node's utilisation over every sample time: per
     node it keeps only a sum, plus one global sample count, so the
     memory cost is independent of simulation length.  Per-node means
-    divide by the *global* count — a node that joined mid-run is thereby
-    treated as idle (zero utilisation) before its join, exactly like the
-    zero-backfilled traces of :class:`UtilizationTraceRecorder`, so the
-    streaming mean agrees with the trace-based reduction.
+    divide by the *global* count, so a node that joined mid-run counts
+    as idle (zero utilisation) before its join.
 
     The per-node sums live in one float64 array, ordered by first
     appearance, and each batch is accumulated with a single vectorized
-    add: per node and per batch the arithmetic is the identical scalar
-    ``sum += utilization * n``, so the results are bit-for-bit what the
-    old per-node dict computed — without the O(nodes) Python loop per
-    sample batch that dominated at fleet scale.
+    add: per node and per batch the arithmetic is the scalar
+    ``sum += utilization * n``, with no Python loop over the nodes.
     """
 
     def __init__(self) -> None:
-        self._order: list[int] = []
         self._pos: dict[int, int] = {}
         self._sums = np.zeros(0)
         self._n_samples = 0
@@ -241,13 +173,8 @@ class StreamingUtilization:
     def _on_sample(self, event) -> None:
         n = len(event.times)
         self._n_samples += n
-        samples = event.samples
-        ids = getattr(samples, "node_ids", None)
-        if ids is not None:  # column-oriented SampleBatch: no row fan-out
-            utils = samples.util
-        else:
-            ids = [s[0] for s in samples]
-            utils = np.array([s[3] for s in samples])
+        ids = event.samples.node_ids
+        utils = event.samples.util
         if ids != self._last_ids:
             self._reindex(ids)
         if n != 1:
@@ -261,29 +188,19 @@ class StreamingUtilization:
 
         Node sets only ever grow (joins append to the sample order), but
         the remap is general: unseen ids get fresh accumulator slots in
-        first-appearance order, matching the old dict's insertion order.
+        first-appearance order.
         """
         pos = self._pos
         for node_id in ids:
             if node_id not in pos:
                 pos[node_id] = len(pos)
-                self._order.append(node_id)
-        if len(self._order) > len(self._sums):
-            grown = np.zeros(len(self._order))
+        if len(pos) > len(self._sums):
+            grown = np.zeros(len(pos))
             grown[:len(self._sums)] = self._sums
             self._sums = grown
         self._gather = np.array([pos[node_id] for node_id in ids],
                                 dtype=np.intp)
         self._last_ids = list(ids)
-
-    def node_mean_percent(self, node_id: int) -> float:
-        """Running mean utilisation of one node (0 when never sampled)."""
-        if not self._n_samples:
-            return 0.0
-        idx = self._pos.get(node_id)
-        if idx is None:
-            return 0.0
-        return float(self._sums[idx] / self._n_samples)
 
     def mean_percent(self) -> float:
         """Mean utilisation across nodes and time (per-node means averaged)."""

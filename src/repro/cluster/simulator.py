@@ -47,11 +47,7 @@ from repro.cluster.events import (
     SchemeSwitch,
 )
 from repro.cluster.faults import FaultController, FaultSpec, FaultSummary
-from repro.cluster.resource_monitor import (
-    ResourceMonitor,
-    StreamingUtilization,
-    UtilizationTraceRecorder,
-)
+from repro.cluster.resource_monitor import ResourceMonitor, StreamingUtilization
 from repro.spark.application import ApplicationState, SparkApplication
 from repro.spark.executor import Executor
 from repro.workloads.benchmark import BenchmarkSpec
@@ -106,14 +102,6 @@ class SimulationResult:
         Chronological log of everything notable that happened.
     makespan_min:
         Completion time of the last application, in minutes.
-    utilization_times:
-        Sample timestamps in simulated **minutes**, one per recorded sample:
-        ``utilization_times[i]`` is the time at which sample ``i`` of every
-        node trace in :attr:`utilization_trace` was taken.  Samples lie on
-        the uniform ``time_step_min`` grid.
-    utilization_trace:
-        Per-node CPU utilisation samples in **percent**, aligned index by
-        index with :attr:`utilization_times`.
     unsubmitted_jobs:
         Jobs whose arrival time lay beyond the simulation horizon, so they
         never entered the queue (open-arrival scenarios only).
@@ -122,22 +110,15 @@ class SimulationResult:
     apps: dict[str, SparkApplication]
     events: EventLog
     makespan_min: float
-    utilization_times: list[float] = field(default_factory=list)
-    utilization_trace: dict[int, list[float]] = field(default_factory=dict)
     unsubmitted_jobs: list[Job] = field(default_factory=list)
-    #: Streaming (O(nodes)-memory) utilisation mean, available even when
-    #: trace recording is disabled.
+    #: Mean CPU utilisation (%) across nodes and time, kept by the
+    #: streaming subscriber in O(nodes) memory.
     streaming_utilization_percent: float = 0.0
     #: Fault/recovery telemetry; ``None`` for runs without a fault spec.
     fault_summary: FaultSummary | None = None
     #: Mid-run scheme hot-swaps, in chronological order (meta-scheduler
     #: runs only; empty for fixed-scheme runs).
     scheme_switches: tuple[SchemeSwitch, ...] = ()
-
-    def finished_apps(self) -> list[SparkApplication]:
-        """Applications that completed within the simulation horizon."""
-        return [app for app in self.apps.values()
-                if app.state is ApplicationState.FINISHED]
 
     def all_finished(self) -> bool:
         """Whether every job completed (and none is still awaiting arrival)."""
@@ -153,15 +134,9 @@ class SimulationResult:
     def mean_node_utilization(self) -> float:
         """Average CPU utilisation (%) across nodes and time.
 
-        Computed from the recorded traces when available (the historical
-        reduction, kept bit-for-bit); when trace recording was disabled,
-        the streaming mean maintained by the event-bus subscriber is
-        returned instead.
+        A node that joined mid-run counts as idle before its join.
         """
-        if not self.utilization_trace:
-            return self.streaming_utilization_percent
-        traces = [np.mean(trace) for trace in self.utilization_trace.values() if trace]
-        return float(np.mean(traces)) if traces else 0.0
+        return self.streaming_utilization_percent
 
 
 class NodeFeatures:
@@ -211,7 +186,7 @@ class NodeFeatures:
         if self._node_of.size:
             # Distinct co-located applications per node: unique
             # (node, app) pairs via a composite key, then counts per
-            # node — the vectorized form of ``len(node.applications())``.
+            # node.
             base = len(sim.submission_order) + 2
             key = self._node_of * base + (self._app_of + 1)
             uniq = np.unique(key)
@@ -470,10 +445,10 @@ class ClusterSimulator:
                  interference: InterferenceModel | None = None,
                  monitor_window_min: float = 5.0,
                  max_time_min: float = 50_000.0,
-                 record_utilization: bool = True,
                  seed: int | None = 0,
                  faults: FaultSpec | None = None) -> None:
         for name, value in (("time_step_min", time_step_min),
+                            ("monitor_window_min", monitor_window_min),
                             ("max_time_min", max_time_min)):
             require_finite(name, value)
             if value <= 0:
@@ -483,20 +458,18 @@ class ClusterSimulator:
         self.time_step_min = time_step_min
         self.interference = interference or InterferenceModel()
         self.max_time_min = max_time_min
-        self.record_utilization = record_utilization
         self.faults = faults
         self.rng = np.random.default_rng(seed)
         # The event bus is the kernel's spine: engines publish, and every
-        # metrics consumer — the resource monitor, the utilisation trace
-        # recorder, streaming statistics, fault telemetry — subscribes.
+        # metrics consumer — the resource monitor, streaming statistics,
+        # fault telemetry — subscribes.
         self.events = EventBus()
         self.monitor = ResourceMonitor(window_min=monitor_window_min).attach(
             self.events)
         self.engine = None
         self.fault_controller: FaultController | None = None
-        # Per-run bus subscribers, created by start() and detached by
+        # Per-run bus subscriber, created by start() and detached by
         # detach_run_subscribers().
-        self._recorder: UtilizationTraceRecorder | None = None
         self._streaming: StreamingUtilization | None = None
         self.apps: dict[str, SparkApplication] = {}
         self.specs: dict[str, BenchmarkSpec] = {}
@@ -610,14 +583,6 @@ class ClusterSimulator:
         """
         if not jobs:
             raise ValueError("cannot simulate an empty job mix")
-        # Metrics are event-bus subscribers: the full trace recorder is
-        # opt-in (Figure 7 genuinely needs the matrix), the streaming
-        # O(nodes) statistics always run.
-        self._recorder = None
-        if self.record_utilization:
-            self._recorder = UtilizationTraceRecorder().attach(self.events)
-            for node in self.cluster.nodes:
-                self._recorder.ensure_node(node.node_id)
         self._streaming = StreamingUtilization().attach(self.events)
         # Realize the fault timeline up front with the simulator's seeded
         # generator: both engines replay the identical realization, and
@@ -635,11 +600,9 @@ class ClusterSimulator:
     def detach_run_subscribers(self) -> None:
         """Detach this run's bus subscribers (idempotent).
 
-        A reused simulator must not keep feeding stale recorders (and
-        their O(steps) traces) on a subsequent run.
+        A reused simulator must not keep feeding a previous run's
+        statistics on a subsequent run.
         """
-        if self._recorder is not None:
-            self.events.unsubscribe(self._recorder._on_sample)
         if self._streaming is not None:
             self.events.unsubscribe(self._streaming._on_sample)
         if self.fault_controller is not None:
@@ -663,13 +626,10 @@ class ClusterSimulator:
                          to_scheme=event.to_scheme,
                          reason=event.reason)
             for event in self.events.of_kind(EventKind.SCHEME_SWITCH))
-        recorder = self._recorder
         return SimulationResult(
             apps=dict(self.apps),
             events=self.events,
             makespan_min=float(makespan),
-            utilization_times=recorder.times if recorder else [],
-            utilization_trace=recorder.trace if recorder else {},
             unsubmitted_jobs=self.cluster.state.pending_list(),
             streaming_utilization_percent=self._streaming.mean_percent(),
             fault_summary=fault_summary,

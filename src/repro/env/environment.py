@@ -130,14 +130,8 @@ class SchedulingEnv:
         array-backed :class:`~repro.env.FeatureObservation`, built
         straight from the kernel's state columns: the fast path for
         learned-policy rollouts and training collection (policies that
-        read the typed views need ``"dataclass"``).
-    record_utilization:
-        Attach the per-node utilization trace recorder (default
-        ``True``, the simulator's historical reduction for the headline
-        utilization metric).  ``False`` drops the recorder — the
-        streaming subscriber then supplies the mean — which rollout
-        collection uses because its reward/STP signals never read
-        utilization.
+        read the typed views need ``"dataclass"``).  Both modes produce
+        the same episode: decisions, rewards and every metric.
 
     Usage::
 
@@ -151,8 +145,8 @@ class SchedulingEnv:
     """
 
     def __init__(self, scenario, *, reward: str = "stp_delta",
-                 time_step_min: float = 0.5, obs_mode: str = "dataclass",
-                 record_utilization: bool = True) -> None:
+                 time_step_min: float = 0.5, obs_mode: str = "dataclass"
+                 ) -> None:
         self._spec = load_scenario(scenario)
         require_finite("time_step_min", time_step_min)
         if time_step_min <= 0:
@@ -166,7 +160,6 @@ class SchedulingEnv:
         self.reward_kind = reward
         self.time_step_min = time_step_min
         self.obs_mode = obs_mode
-        self.record_utilization = record_utilization
         self._sim: ClusterSimulator | None = None
         self._epochs = None
         self._done = False
@@ -210,8 +203,7 @@ class SchedulingEnv:
         sim = ClusterSimulator(cluster, scheduler,
                                time_step_min=self.time_step_min, seed=seed,
                                max_time_min=spec.max_time_min,
-                               faults=spec.faults,
-                               record_utilization=self.record_utilization)
+                               faults=spec.faults)
         self.seed = seed
         self._jobs = jobs
         self._allocation_policy = allocation_policy

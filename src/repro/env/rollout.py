@@ -145,8 +145,7 @@ def rollout(scenario, policy: Policy, *, seed: int = 11,
             time_step_min: float = 0.5,
             max_steps: int | None = None,
             record_rewards: bool = False,
-            obs_mode: str = "dataclass",
-            record_utilization: bool = True) -> EpisodeResult:
+            obs_mode: str = "dataclass") -> EpisodeResult:
     """Run one full episode of ``policy`` on ``scenario``.
 
     ``max_steps`` bounds the number of decision epochs (a safety net for
@@ -155,17 +154,14 @@ def rollout(scenario, policy: Policy, *, seed: int = 11,
     ``RuntimeError`` naming the scenario and step count.
     ``record_rewards`` keeps the per-step reward trace on the result
     (``EpisodeResult.rewards``) — the learner's training signal and the
-    eval episode then share one telemetry shape.  ``obs_mode`` and
-    ``record_utilization`` are forwarded to :class:`SchedulingEnv`:
-    ``obs_mode="features"`` with ``record_utilization=False`` is the
-    fast collection path (decision traces, rewards and STP are
-    bit-identical to the defaults; only the episode's utilization metric
-    switches to the streaming reduction).
+    eval episode then share one telemetry shape.  ``obs_mode`` is
+    forwarded to :class:`SchedulingEnv`: ``obs_mode="features"`` is the
+    fast collection path, and its episode result is bit-identical to the
+    default's.
     """
     env = SchedulingEnv(scenario, reward=reward,
                         time_step_min=time_step_min,
-                        obs_mode=obs_mode,
-                        record_utilization=record_utilization)
+                        obs_mode=obs_mode)
     policy.reset(seed)
     observation = env.reset(seed=seed,
                             scheduler_factory=policy.make_scheduler)

@@ -576,8 +576,7 @@ class ReinforceLearner:
                                if seed is None else seed),
                          reward=self.config.reward,
                          max_steps=self.config.max_steps,
-                         obs_mode=self.config.obs_mode,
-                         record_utilization=False)
+                         obs_mode=self.config.obs_mode)
         return result.stp
 
     # ------------------------------------------------------------------

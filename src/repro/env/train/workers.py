@@ -9,10 +9,9 @@ cells: pool reused across iterations, scenario shipped once through the
 initializer).
 
 Collection runs the environment's fast observation path by default
-(``obs_mode="features"`` with utilization recording off): decision
-traces, rewards and STP are bit-identical to the dataclass oracle path
-(pinned by the fast-path parity tests), only the episode's utilization
-telemetry — which trajectories never consume — switches reductions.
+(``obs_mode="features"``): decision traces, rewards and the whole
+episode result are bit-identical to the dataclass oracle path (pinned
+by the fast-path parity tests).
 
 Policy weights are broadcast **once per change**, not once per task:
 :meth:`EpisodeCollector.collect` pickles the network a single time and
@@ -83,16 +82,15 @@ def collect_episode(scenario, model: PolicyNetwork, spec: EpisodeSpec, *,
     """Sample one full episode and package it for the learner.
 
     ``obs_mode="features"`` (the default) runs the array-backed fast
-    observation path with utilization recording off; the trajectory is
-    bit-identical to ``obs_mode="dataclass"``, the row-level oracle.
+    observation path; the trajectory is bit-identical to
+    ``obs_mode="dataclass"``, the row-level oracle.
     """
     policy = LearnedPolicy(
         model=model, record_trace=True,
         sample_rng=np.random.default_rng(spec.sample_seed))
     result = rollout(scenario, policy, seed=spec.episode_seed, reward=reward,
                      max_steps=max_steps, record_rewards=True,
-                     obs_mode=obs_mode,
-                     record_utilization=(obs_mode != "features"))
+                     obs_mode=obs_mode)
     return Trajectory(
         episode_seed=spec.episode_seed,
         rewards=np.asarray(result.rewards, dtype=np.float64),

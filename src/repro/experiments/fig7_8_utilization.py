@@ -44,20 +44,18 @@ def run(suite: SchedulerSuite | None = None, schemes=SCHEMES,
     """Schedule the Table 4 mix under each scheme and collect utilisation.
 
     Both the headline metrics and the heat map are accumulated by
-    streaming event-bus subscribers while the simulation runs — no
-    post-hoc trace matrices; the full per-step traces are not even
-    recorded (``record_utilization=False``).
+    streaming event-bus subscribers while the simulation runs; no
+    per-step trace is kept.
     """
     suite = suite or SchedulerSuite()
     jobs = make_table4_jobs()
     results = []
     for scheme in schemes:
+        heatmap = StreamingUtilizationHeatmap(n_bins=n_bins)
         simulator = ClusterSimulator(paper_cluster(), suite.factory(scheme)(),
-                                     time_step_min=time_step_min, seed=seed,
-                                     record_utilization=False)
+                                     time_step_min=time_step_min, seed=seed)
         metrics = StreamingScheduleMetrics(jobs).attach(simulator.events)
-        heatmap = StreamingUtilizationHeatmap(n_bins=n_bins).attach(
-            simulator.events)
+        heatmap.attach(simulator.events)
         sim_result = simulator.run(jobs)
         evaluation = metrics.evaluate(sim_result)
         times, matrix = heatmap.matrix()

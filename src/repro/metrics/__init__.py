@@ -28,7 +28,6 @@ from repro.metrics.throughput import (
 from repro.metrics.utilization import (
     StreamingUtilization,
     StreamingUtilizationHeatmap,
-    downsample_trace,
 )
 from repro.metrics.slowdown import parsec_colocation_slowdown_percent, slowdown_percent
 
@@ -43,7 +42,6 @@ __all__ = [
     "system_throughput",
     "StreamingUtilization",
     "StreamingUtilizationHeatmap",
-    "downsample_trace",
     "slowdown_percent",
     "parsec_colocation_slowdown_percent",
 ]

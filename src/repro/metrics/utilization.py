@@ -1,4 +1,4 @@
-"""Server-utilisation metrics (Figure 7): streaming-first, post-hoc legacy.
+"""Server-utilisation metrics (Figure 7), read off the sample stream.
 
 The engines publish one :class:`~repro.cluster.events.ClusterSample` per
 node state change on the simulator's event bus; everything in this module
@@ -12,35 +12,20 @@ consumes that stream:
   the run outgrows its capacity, merges adjacent bins (doubling the bin
   width), so memory stays O(nodes × bins) regardless of simulation
   length.
-
-The post-hoc helper :func:`downsample_trace` still operates on fully
-recorded traces; the deprecated trace-matrix builder it used to feed has
-been retired now that the streaming heat map covers its one consumer.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro._checks import require_finite, require_integer
 from repro.cluster.events import EventKind
 from repro.cluster.resource_monitor import StreamingUtilization
 
 __all__ = [
-    "downsample_trace",
     "StreamingUtilization",
     "StreamingUtilizationHeatmap",
 ]
-
-
-def downsample_trace(trace, n_bins: int) -> np.ndarray:
-    """Average a per-step utilisation trace into ``n_bins`` equal time bins."""
-    if n_bins < 1:
-        raise ValueError("n_bins must be at least 1")
-    trace = np.asarray(trace, dtype=float)
-    if trace.size == 0:
-        return np.zeros(n_bins)
-    chunks = np.array_split(trace, n_bins)
-    return np.array([chunk.mean() if chunk.size else 0.0 for chunk in chunks])
 
 
 class StreamingUtilizationHeatmap:
@@ -50,20 +35,23 @@ class StreamingUtilizationHeatmap:
     outgrows ``2 × n_bins`` bins, adjacent bins are merged pairwise and
     the width doubles, so the structure never holds more than
     ``2 × n_bins`` (sum, count) pairs per node — bounded memory for any
-    simulation length, unlike the post-hoc trace matrix.
+    simulation length.
 
     Parameters
     ----------
     n_bins:
-        Number of time bins in the rendered heat map.
+        Number of time bins in the rendered heat map, an integer of at
+        least one.
     initial_bin_min:
-        Starting bin width in minutes (defaults to one; it doubles as
-        needed, so only the resolution floor matters).
+        Starting bin width in minutes, finite and positive (defaults to
+        one; it doubles as needed, so only the resolution floor matters).
     """
 
     def __init__(self, n_bins: int = 48, initial_bin_min: float = 1.0) -> None:
+        require_integer("n_bins", n_bins)
         if n_bins < 1:
             raise ValueError("n_bins must be at least 1")
+        require_finite("initial_bin_min", initial_bin_min)
         if initial_bin_min <= 0:
             raise ValueError("initial_bin_min must be positive")
         self.n_bins = n_bins
@@ -93,7 +81,9 @@ class StreamingUtilizationHeatmap:
         # bins are touched (a fixed-step event touches exactly one).
         touched, touched_counts = np.unique(indices, return_counts=True)
         self._max_bin = max(self._max_bin, int(indices[-1]))
-        for node_id, _, _, utilization in event.samples:
+        samples = event.samples
+        for node_id, utilization in zip(samples.node_ids,
+                                        samples.util.tolist()):
             sums = self._sums.get(node_id)
             if sums is None:
                 sums = np.zeros(self._capacity)

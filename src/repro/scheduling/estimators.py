@@ -165,10 +165,6 @@ class MoEEstimator(MemoryEstimator):
         return ProfilingCost(feature_extraction_min=report.feature_extraction_min,
                              calibration_min=report.calibration_min)
 
-    def prediction_for(self, app_name: str):
-        """The stored :class:`~repro.core.moe.MemoryPrediction` for an app."""
-        return self._predictions[app_name]
-
     def footprint_gb(self, app_name, data_gb):
         return self._predictions[app_name].footprint_gb(data_gb)
 

@@ -99,16 +99,20 @@ class TestGoldenEquivalence:
         assert event.makespan_min == fixed.makespan_min
         assert event_finish == fixed_finish
 
-    def test_utilization_samples_are_aligned_and_identical(self, simulators):
+    def test_usage_samples_are_identical(self, simulators, sample_stream):
+        """Both engines publish the same samples at the same grid times:
+        memory, CPU load and utilisation of every node."""
         mix = make_scenario_mixes("L3", n_mixes=1, seed=7)[0]
-        fixed = simulate(simulators["fixed"], PairwiseScheduler, mix)
-        event = simulate(simulators["event"], PairwiseScheduler, mix)
-        # Index i of utilization_times stamps sample i of every node trace.
-        for result in (fixed, event):
-            for trace in result.utilization_trace.values():
-                assert len(trace) == len(result.utilization_times)
-        assert event.utilization_times == fixed.utilization_times
-        assert event.utilization_trace == fixed.utilization_trace
+        runs = {}
+        for engine, simulator_type in simulators.items():
+            simulator = simulator_type(Cluster.homogeneous(40),
+                                       PairwiseScheduler(), seed=11)
+            samples = sample_stream().attach(simulator.events)
+            runs[engine] = (simulator.run(mix), samples)
+        (fixed, fixed_samples), (event, event_samples) = (runs["fixed"],
+                                                          runs["event"])
+        assert fixed_samples.times
+        assert event_samples == fixed_samples
         assert event.mean_node_utilization() == pytest.approx(
             fixed.mean_node_utilization())
 
@@ -149,13 +153,10 @@ class TestEventEngineBehaviour:
             assert event.apps[name].turnaround_min() == pytest.approx(
                 app.turnaround_min(), rel=1e-9)
 
-    def test_record_utilization_can_be_disabled(self):
-        result = simulate(ClusterSimulator, PairwiseScheduler,
-                          [Job("HB.Sort", 10.0)], n_nodes=2,
-                          record_utilization=False)
-        assert result.all_finished()
-        assert result.utilization_trace == {}
-        assert result.utilization_times == []
+    def test_retired_record_utilization_option_is_rejected(self):
+        with pytest.raises(TypeError, match="record_utilization"):
+            ClusterSimulator(Cluster.homogeneous(2), PairwiseScheduler(),
+                             record_utilization=False)
 
     def test_alignment_rounds_up_to_grid(self):
         simulator = ClusterSimulator(Cluster.homogeneous(1),

@@ -194,20 +194,23 @@ class TestNodeFailure:
 
 
 class TestJoinPreemptStraggle:
-    def test_node_join_extends_cluster_and_traces(self):
+    def test_node_join_extends_cluster_and_samples(self, sample_stream):
         spec = FaultSpec(timeline=(
             FaultEvent(time_min=3.0, action="node_join", ram_gb=64.0),))
         simulator = ClusterSimulator(Cluster.homogeneous(2),
                                      make_oracle_scheduler(), seed=3,
                                      faults=spec)
+        samples = sample_stream().attach(simulator.events)
         result = simulator.run([Job("HB.Sort", 60.0)])
         assert result.all_finished()
         assert len(simulator.cluster) == 3
         assert result.fault_summary.nodes_joined == 1
-        # The joined node's trace is zero-backfilled to the shared grid.
-        assert set(result.utilization_trace) == {0, 1, 2}
-        for trace in result.utilization_trace.values():
-            assert len(trace) == len(result.utilization_times)
+        # The joined node is sampled from its join on, every grid step.
+        joined = [t for t, ids in zip(samples.times, samples.node_ids)
+                  if 2 in ids]
+        assert joined[0] == 3.0
+        assert joined == [t for t in samples.times if t >= 3.0]
+        assert samples.times[0] == 0.0
 
     def test_preemption_redistributes_work(self):
         spec = FaultSpec(timeline=(

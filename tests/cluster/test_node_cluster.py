@@ -1,11 +1,10 @@
-"""Tests for nodes, the cluster and the resource monitor."""
+"""Tests for nodes and the cluster (the monitor: test_resource_monitor.py)."""
 
 import pytest
 
 from repro.cluster import (
     Cluster,
     Node,
-    ResourceMonitor,
     paper_cluster,
 )
 from repro.spark import Executor
@@ -57,7 +56,6 @@ class TestNode:
         node.add_executor(executor)
         executor.advance(1.0)
         assert node.reserved_memory_gb == 0.0
-        assert node.applications() == set()
 
     def test_executor_for_wrong_node_rejected(self):
         node = Node(node_id=3)
@@ -101,30 +99,4 @@ class TestCluster:
         cluster.node(0).add_executor(make_executor(node_id=0, app="job-a"))
         assert [node.node_id for node in cluster.idle_nodes()] == [1]
         assert cluster.active_applications() == {"job-a"}
-
-
-class TestResourceMonitor:
-    def test_windowed_average(self):
-        monitor = ResourceMonitor(window_min=5.0)
-        monitor.record(0.0, 0, memory_gb=10.0, cpu_load=0.2)
-        monitor.record(1.0, 0, memory_gb=30.0, cpu_load=0.6)
-        assert monitor.reported_memory_gb(0) == pytest.approx(20.0)
-        assert monitor.reported_cpu_load(0) == pytest.approx(0.4)
-
-    def test_old_samples_fall_out_of_window(self):
-        monitor = ResourceMonitor(window_min=5.0)
-        monitor.record(0.0, 0, memory_gb=100.0, cpu_load=1.0)
-        monitor.record(10.0, 0, memory_gb=10.0, cpu_load=0.1)
-        assert monitor.reported_memory_gb(0) == pytest.approx(10.0)
-
-    def test_unknown_node_reports_zero(self):
-        monitor = ResourceMonitor()
-        assert monitor.reported_memory_gb(7) == 0.0
-        assert not monitor.has_samples(7)
-
-    def test_rejects_negative_samples_and_window(self):
-        with pytest.raises(ValueError):
-            ResourceMonitor(window_min=0.0)
-        with pytest.raises(ValueError):
-            ResourceMonitor().record(0.0, 0, memory_gb=-1.0, cpu_load=0.0)
 

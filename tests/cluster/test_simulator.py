@@ -179,10 +179,13 @@ class TestInterferenceAndFailures:
 
 
 class TestMonitoringAndUtilization:
-    def test_utilization_trace_has_entry_per_node(self):
-        result = run_sim(GreedyExactScheduler(), [Job("HB.Sort", 10.0)],
-                         n_nodes=3)
-        assert set(result.utilization_trace) == {0, 1, 2}
+    def test_usage_is_sampled_for_every_node(self, sample_stream):
+        simulator = ClusterSimulator(Cluster.homogeneous(3),
+                                     GreedyExactScheduler())
+        samples = sample_stream().attach(simulator.events)
+        simulator.run([Job("HB.Sort", 10.0)])
+        assert samples.times
+        assert all(ids == (0, 1, 2) for ids in samples.node_ids)
 
     def test_mean_utilization_is_between_0_and_100(self):
         result = run_sim(GreedyExactScheduler(), [Job("HB.Sort", 10.0)])

@@ -3,6 +3,7 @@
 import builtins
 import math
 
+import numpy as np
 import pytest
 
 
@@ -44,6 +45,66 @@ def simulators():
         engine_type = FixedStepEngine
 
     return {"fixed": FixedStepSimulator, "event": ClusterSimulator}
+
+
+class SampleStream:
+    """Every ``ClusterSample`` a bus publishes, one entry per sample time.
+
+    Entry ``i`` of ``node_ids``, ``memory``, ``cpu`` and ``util`` is the
+    sample taken at ``times[i]``: the sampled node ids and their resident
+    memory (GB), CPU load and utilisation (%), as tuples of Python
+    floats.  A batch spanning several grid times (an event-engine jump)
+    expands to one entry per time, the shape the fixed-step engine
+    publishes, so two engines' streams compare with ``==``.
+    """
+
+    def __init__(self):
+        self.times = []
+        self.node_ids = []
+        self.memory = []
+        self.cpu = []
+        self.util = []
+
+    def attach(self, bus):
+        from repro.cluster.events import EventKind
+
+        bus.subscribe(self._on_sample, kinds=(EventKind.CLUSTER_SAMPLE,))
+        return self
+
+    def _on_sample(self, event):
+        samples = event.samples
+        n = len(event.times)
+        self.times.extend(event.times)
+        self.node_ids.extend([tuple(samples.node_ids)] * n)
+        for column, values in ((self.memory, samples.memory),
+                               (self.cpu, samples.cpu),
+                               (self.util, samples.util)):
+            column.extend([tuple(values.tolist())] * n)
+
+    def __eq__(self, other):
+        return isinstance(other, SampleStream) and vars(self) == vars(other)
+
+    def utilization(self):
+        """``(node_ids, matrix)``: utilisation (%) per node (rows, ids
+        ascending) and sample time (columns), zero before a node's first
+        sample."""
+        node_ids = sorted({node_id for ids in self.node_ids for node_id in ids})
+        index = {node_id: i for i, node_id in enumerate(node_ids)}
+        matrix = np.zeros((len(node_ids), len(self.times)))
+        for j, (ids, util) in enumerate(zip(self.node_ids, self.util)):
+            for node_id, value in zip(ids, util):
+                matrix[index[node_id], j] = value
+        return node_ids, matrix
+
+
+@pytest.fixture(scope="session")
+def sample_stream():
+    """The :class:`SampleStream` recorder class.
+
+    Attach one to a simulator's bus before its run:
+    ``samples = sample_stream().attach(simulator.events)``.
+    """
+    return SampleStream
 
 
 def compensated_sum(iterable, /, start=0):

@@ -43,15 +43,18 @@ from repro.env.train.workers import (
 
 def run_learned(scenario: str, seed: int, obs_mode: str, *,
                 sample_seed=None, model=None):
-    """One learned-policy episode; returns (steps, stp, rewards, trace)."""
+    """One learned-policy episode; returns (episode document, trace).
+
+    The document is ``EpisodeResult.to_dict()``: steps, rewards, STP,
+    ANTT, makespan, utilisation and every per-job record.
+    """
     rng = (np.random.default_rng(sample_seed)
            if sample_seed is not None else None)
     policy = LearnedPolicy(model=model, record_trace=True, sample_rng=rng,
                            row_cache=(obs_mode == "features"))
     result = rollout(scenario, policy, seed=seed,
-                     record_rewards=True, obs_mode=obs_mode,
-                     record_utilization=(obs_mode == "dataclass"))
-    return result.steps, result.stp, tuple(result.rewards), policy.trace
+                     record_rewards=True, obs_mode=obs_mode)
+    return result.to_dict(), policy.trace
 
 
 def assert_traces_equal(oracle, fast):
@@ -68,13 +71,9 @@ class TestFastObservationParity:
 
     @pytest.mark.parametrize("seed", [11, 12])
     def test_greedy_episode_is_bit_identical(self, seed):
-        steps_o, stp_o, rewards_o, trace_o = run_learned(
-            "churn20", seed, "dataclass")
-        steps_f, stp_f, rewards_f, trace_f = run_learned(
-            "churn20", seed, "features")
-        assert steps_o == steps_f
-        assert stp_o == stp_f
-        assert rewards_o == rewards_f
+        episode_o, trace_o = run_learned("churn20", seed, "dataclass")
+        episode_f, trace_f = run_learned("churn20", seed, "features")
+        assert episode_o == episode_f
         assert_traces_equal(trace_o, trace_f)
 
     def test_sampled_episode_is_bit_identical(self, monkeypatch):
@@ -95,19 +94,17 @@ class TestFastObservationParity:
         for model, sample_seed in ((None, (3, 0, 1)),
                                    (PolicyNetwork(seed=0), (3, 0, 16))):
             fallbacks.clear()
-            steps_o, stp_o, rewards_o, trace_o = run_learned(
+            episode_o, trace_o = run_learned(
                 "churn20", 11, "dataclass", sample_seed=sample_seed,
                 model=model)
             oracle_fallbacks = len(fallbacks)
-            steps_f, stp_f, rewards_f, trace_f = run_learned(
+            episode_f, trace_f = run_learned(
                 "churn20", 11, "features", sample_seed=sample_seed,
                 model=model)
             assert len(fallbacks) == 2 * oracle_fallbacks
             if model is not None:
                 assert oracle_fallbacks, "the case must exercise the fallback"
-            assert steps_o == steps_f
-            assert stp_o == stp_f
-            assert rewards_o == rewards_f
+            assert episode_o == episode_f
             assert_traces_equal(trace_o, trace_f)
 
     def test_native_scheme_sees_no_behaviour_change(self):
@@ -116,14 +113,12 @@ class TestFastObservationParity:
         results = {}
         for obs_mode in ("dataclass", "features"):
             result = rollout("churn20", PolicyAdapter("pairwise"), seed=11,
-                             obs_mode=obs_mode,
-                             record_utilization=(obs_mode == "dataclass"))
-            results[obs_mode] = (result.steps, result.stp)
+                             obs_mode=obs_mode)
+            results[obs_mode] = result.to_dict()
         assert results["dataclass"] == results["features"]
 
     def test_features_mode_returns_feature_observations(self):
-        env = SchedulingEnv("churn20", obs_mode="features",
-                            record_utilization=False)
+        env = SchedulingEnv("churn20", obs_mode="features")
         policy = LearnedPolicy()
         policy.reset(11)
         observation = env.reset(seed=11,

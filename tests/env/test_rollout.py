@@ -85,6 +85,17 @@ class TestEpisodeResultRoundTrip:
             with pytest.raises(TypeError, match="Policy"):
                 session.rollout("L1", policy=42)
 
+    def test_retired_record_utilization_option_is_rejected(self):
+        from repro.env import SchedulingEnv
+
+        with pytest.raises(TypeError, match="record_utilization"):
+            SchedulingEnv("L1", record_utilization=False)
+        with pytest.raises(TypeError, match="record_utilization"):
+            rollout("L1", RandomPolicy(), record_utilization=False)
+        with Session() as session:
+            with pytest.raises(TypeError, match="record_utilization"):
+                session.rollout("L1", record_utilization=False)
+
     def test_record_rewards_keeps_the_trace_and_round_trips(self):
         episode = rollout("L1", GreedyPolicy(), seed=11,
                           record_rewards=True)

@@ -4,18 +4,19 @@ import numpy as np
 import pytest
 
 from repro.cluster import Cluster, ClusterSimulator
-from repro.cluster.events import ClusterSample, EventBus
+from repro.cluster.events import ClusterSample, EventBus, SampleBatch
+from repro.experiments import fig7_8_utilization
 from repro.metrics.throughput import StreamingScheduleMetrics, evaluate_schedule
 from repro.metrics.utilization import (
     StreamingUtilization,
     StreamingUtilizationHeatmap,
-    downsample_trace,
 )
 from repro.scheduling import PairwiseScheduler, make_oracle_scheduler
 from repro.workloads.mixes import Job, make_scenario_mixes
 
 
-def run_with_subscribers(jobs, n_nodes=8, scheduler=None, **kwargs):
+def run_with_subscribers(jobs, n_nodes=8, scheduler=None, samples=None,
+                         **kwargs):
     simulator = ClusterSimulator(Cluster.homogeneous(n_nodes),
                                  scheduler or make_oracle_scheduler(),
                                  seed=11, **kwargs)
@@ -24,8 +25,24 @@ def run_with_subscribers(jobs, n_nodes=8, scheduler=None, **kwargs):
     heatmap = StreamingUtilizationHeatmap(
         n_bins=10, initial_bin_min=simulator.time_step_min).attach(
         simulator.events)
+    if samples is not None:
+        samples.attach(simulator.events)
     result = simulator.run(jobs)
     return result, metrics, streaming, heatmap
+
+
+def one_step_sample(time, utils):
+    """A one-time ``ClusterSample``: node ``i`` at ``utils[i]`` percent."""
+    n = len(utils)
+    return ClusterSample(time=time, times=(time,), samples=SampleBatch(
+        list(range(n)), np.zeros(n), np.zeros(n), np.asarray(utils, float)))
+
+
+def zero_backfilled_mean(samples):
+    """Mean over nodes of each node's mean utilisation over the whole
+    recorded timeline, a node counting as idle before its first sample."""
+    _, matrix = samples.utilization()
+    return float(np.mean(matrix.mean(axis=1)))
 
 
 class TestStreamingScheduleMetrics:
@@ -54,19 +71,15 @@ class TestStreamingScheduleMetrics:
 
 
 class TestStreamingUtilization:
-    def test_matches_trace_mean_without_keeping_traces(self):
+    def test_matches_trace_mean_without_keeping_traces(self,
+                                                      sample_stream):
         jobs = [Job("HB.Sort", 30.0), Job("HB.Scan", 15.0)]
-        result, _, streaming, _ = run_with_subscribers(jobs)
-        assert streaming.mean_percent() == pytest.approx(
-            result.mean_node_utilization(), rel=1e-9)
-
-    def test_available_when_trace_recording_disabled(self):
-        jobs = [Job("HB.Sort", 30.0)]
-        result, _, streaming, _ = run_with_subscribers(
-            jobs, record_utilization=False)
-        assert result.utilization_trace == {}
+        samples = sample_stream()
+        result, _, streaming, _ = run_with_subscribers(jobs, samples=samples)
         assert result.mean_node_utilization() == streaming.mean_percent()
-        assert result.streaming_utilization_percent > 0
+        assert result.mean_node_utilization() > 0
+        assert streaming.mean_percent() == pytest.approx(
+            zero_backfilled_mean(samples), rel=1e-12)
 
     def test_empty_stream_means_zero(self):
         assert StreamingUtilization().mean_percent() == 0.0
@@ -75,46 +88,45 @@ class TestStreamingUtilization:
         # Ten nodes at 0.1 %: a compensated sum() of the node means is
         # 1.0, the left-to-right total 0.9999999999999999.
         streaming = StreamingUtilization()
-        streaming._on_sample(ClusterSample(
-            time=0.0, times=(0.0,),
-            samples=tuple((i, 0.0, 0.0, 0.1) for i in range(10))))
+        streaming._on_sample(one_step_sample(0.0, [0.1] * 10))
         total = 0.0
         for _ in range(10):
             total += 0.1
         assert total != sum([0.1] * 10)
         assert streaming.mean_percent() == total / 10
 
-    def test_mid_run_node_join_matches_zero_backfilled_traces(self):
+    def test_mid_run_node_join_matches_zero_backfilled_traces(
+            self, sample_stream):
         from repro.cluster.faults import FaultEvent, FaultSpec
 
         spec = FaultSpec(timeline=(
             FaultEvent(time_min=5.0, action="node_join"),))
-        means = {}
-        for record in (True, False):
-            simulator = ClusterSimulator(Cluster.homogeneous(2),
-                                         make_oracle_scheduler(), seed=1,
-                                         faults=spec,
-                                         record_utilization=record)
-            result = simulator.run([Job("HB.Sort", 100.0)])
-            means[record] = result.mean_node_utilization()
-        # Streaming fallback treats the joiner as idle pre-join, exactly
-        # like the zero-backfilled trace reduction.
-        assert means[False] == pytest.approx(means[True], rel=1e-9)
+        simulator = ClusterSimulator(Cluster.homogeneous(2),
+                                     make_oracle_scheduler(), seed=1,
+                                     faults=spec)
+        samples = sample_stream().attach(simulator.events)
+        result = simulator.run([Job("HB.Sort", 100.0)])
+        assert samples.utilization()[0] == [0, 1, 2]
+        # The mean treats the joiner as idle before its join.
+        assert result.mean_node_utilization() == pytest.approx(
+            zero_backfilled_mean(samples), rel=1e-12)
 
 
 class TestStreamingHeatmap:
-    def test_close_to_post_hoc_matrix(self):
+    def test_close_to_post_hoc_matrix(self, sample_stream):
         # Long enough that every one of the 10 bins holds samples under
         # both the streaming (width-quantised) and post-hoc binning.
         jobs = [Job("HB.Sort", 200.0), Job("HB.Scan", 100.0)]
-        result, _, _, heatmap = run_with_subscribers(jobs, n_nodes=4)
+        samples = sample_stream()
+        _, _, _, heatmap = run_with_subscribers(jobs, n_nodes=4,
+                                                samples=samples)
         times, matrix = heatmap.matrix()
-        # Post-hoc reference built straight from the recorded traces (the
-        # retired trace-matrix helper, inlined).
-        reference = np.vstack([
-            downsample_trace(result.utilization_trace[node_id], 10)
-            for node_id in sorted(result.utilization_trace)
-        ])
+        # Post-hoc reference from the same sample stream: each node's
+        # samples averaged in 10 equal groups.
+        _, full = samples.utilization()
+        reference = np.stack([chunk.mean(axis=1)
+                              for chunk in np.array_split(full, 10, axis=1)],
+                             axis=1)
         assert matrix.shape == reference.shape
         # Same nodes, same time span, same overall energy; bin boundaries
         # differ slightly (streaming bins are width-quantised).
@@ -126,8 +138,7 @@ class TestStreamingHeatmap:
         heatmap.attach(bus)
         # Stream far more sample epochs than 2 * n_bins.
         for step in range(1000):
-            bus.publish(ClusterSample(time=float(step), times=(float(step),),
-                                      samples=((0, 1.0, 0.5, 50.0),)))
+            bus.publish(one_step_sample(float(step), [50.0]))
         times, matrix = heatmap.matrix()
         assert matrix.shape == (1, 4)
         assert heatmap._sums[0].size == 8  # capacity never grew
@@ -138,6 +149,18 @@ class TestStreamingHeatmap:
         times, matrix = StreamingUtilizationHeatmap(n_bins=5).matrix()
         assert matrix.shape == (0, 5)
         assert np.all(times == 0.0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("n_bins", 2.5), ("n_bins", True),
+        ("initial_bin_min", float("nan")), ("initial_bin_min", float("inf")),
+    ])
+    def test_bad_shape_is_rejected_at_construction(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            StreamingUtilizationHeatmap(**{field: value})
+
+    def test_fig7_run_rejects_bad_bin_count_before_simulating(self):
+        with pytest.raises(ValueError, match="n_bins"):
+            fig7_8_utilization.run(n_bins=2.5)
 
 
 class TestSessionUsesStreaming:

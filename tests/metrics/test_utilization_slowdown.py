@@ -1,9 +1,7 @@
-"""Tests for utilisation post-processing and the interference helpers."""
+"""Tests for the utilisation heat map and the interference helpers."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.simulator import ClusterSimulator, InterferenceModel
@@ -12,7 +10,7 @@ from repro.metrics.slowdown import (
     slowdown_percent,
     spark_bandwidth_pressure,
 )
-from repro.metrics.utilization import downsample_trace
+from repro.metrics.utilization import StreamingUtilizationHeatmap
 from repro.scheduling import make_oracle_scheduler
 from repro.workloads.mixes import Job
 from repro.workloads.parsec import parsec_by_name
@@ -20,59 +18,17 @@ from repro.workloads.suites import benchmark_by_name
 
 
 class TestUtilization:
-    def test_downsample_preserves_mean(self):
-        trace = np.linspace(0, 100, 120)
-        bins = downsample_trace(trace, 12)
-        assert len(bins) == 12
-        assert bins.mean() == pytest.approx(trace.mean(), rel=0.02)
-
-    def test_downsample_empty_trace(self):
-        bins = downsample_trace([], 5)
-        assert bins.shape == (5,)
-        assert np.all(bins == 0.0)
-
-    def test_downsample_single_sample(self):
-        bins = downsample_trace([42.0], 5)
-        assert bins.shape == (5,)
-        assert bins[0] == pytest.approx(42.0)
-        # The remaining bins hold no sample and report zero utilisation.
-        assert np.all(bins[1:] == 0.0)
-
-    def test_downsample_trace_shorter_than_bin_count(self):
-        trace = [10.0, 20.0, 30.0]
-        bins = downsample_trace(trace, 8)
-        assert bins.shape == (8,)
-        # Every sample lands in exactly one bin; the mass is preserved.
-        assert bins.sum() == pytest.approx(sum(trace))
-        assert np.all(bins[3:] == 0.0)
-
-    def test_downsample_rejects_zero_bins(self):
-        with pytest.raises(ValueError):
-            downsample_trace([1.0], 0)
-
-    def test_downsampled_traces_stay_in_range(self):
+    def test_heatmap_stays_in_range(self):
         simulator = ClusterSimulator(Cluster.homogeneous(3),
                                      make_oracle_scheduler(), time_step_min=0.5)
-        result = simulator.run([Job("HB.Sort", 20.0), Job("HB.Scan", 10.0)])
-        matrix = np.vstack([
-            downsample_trace(result.utilization_trace[node_id], 10)
-            for node_id in sorted(result.utilization_trace)
-        ])
+        heatmap = StreamingUtilizationHeatmap(n_bins=10).attach(
+            simulator.events)
+        simulator.run([Job("HB.Sort", 20.0), Job("HB.Scan", 10.0)])
+        _, matrix = heatmap.matrix()
         assert matrix.shape == (3, 10)
         assert np.all(matrix >= 0.0)
         assert np.all(matrix <= 100.0)
-
-    @given(st.lists(st.floats(0, 100), min_size=1, max_size=50),
-           st.integers(1, 10))
-    @settings(max_examples=40, deadline=None)
-    def test_property_downsample_bounded_by_extremes(self, trace, bins):
-        result = downsample_trace(trace, bins)
-        assert result.max() <= max(trace) + 1e-9
-        if bins <= len(trace):
-            # With more bins than samples the surplus bins are empty and
-            # report zero utilisation, so the lower bound only holds when
-            # every bin holds at least one sample.
-            assert result.min() >= min(trace) - 1e-9
+        assert matrix.max() > 0.0
 
 
 class TestSlowdown:

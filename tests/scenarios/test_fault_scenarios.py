@@ -44,14 +44,20 @@ STORM = FaultSpec(
     horizon_min=400.0)
 
 
-def simulate(simulator_type, factory, jobs, seed=11, n_nodes=40, **kwargs):
+def simulate(simulator_type, samples, factory, jobs, seed=11, n_nodes=40,
+             **kwargs):
+    """One run under the storm; returns the result and the run's usage
+    samples, recorded into ``samples``."""
     simulator = simulator_type(Cluster.homogeneous(n_nodes), factory(),
                                seed=seed, faults=STORM, **kwargs)
-    return simulator.run(jobs)
+    samples.attach(simulator.events)
+    return simulator.run(jobs), samples
 
 
-def assert_equivalent(fixed, event):
-    """Both engines replay the same faulty trajectory (float-noise close)."""
+def assert_equivalent(fixed_run, event_run):
+    """Both engines replay the same faulty trajectory (float-noise close)
+    and publish the same usage samples; each run is (result, samples)."""
+    (fixed, fixed_samples), (event, event_samples) = fixed_run, event_run
     assert fixed.all_finished() and event.all_finished()
     assert event.makespan_min == pytest.approx(fixed.makespan_min, rel=1e-9)
     for name, app in fixed.apps.items():
@@ -84,31 +90,42 @@ def assert_equivalent(fixed, event):
                                               rel=1e-9, abs=1e-9)
     assert ef.availability_percent == pytest.approx(ff.availability_percent,
                                                     rel=1e-9)
-    assert event.utilization_times == fixed.utilization_times
-    assert event.utilization_trace == fixed.utilization_trace
+    # Usage samples: the same times, nodes, CPU loads and utilisations.
+    # Resident memory follows the work killed executors return, which
+    # the engines accumulate step by step or in jumps: float noise.
+    assert fixed_samples.times
+    for column in ("times", "node_ids", "cpu", "util"):
+        assert getattr(event_samples, column) == getattr(fixed_samples, column)
+    assert event_samples.memory == [pytest.approx(row, rel=1e-9, abs=1e-9)
+                                    for row in fixed_samples.memory]
 
 
 class TestFaultGoldenEquivalence:
     @pytest.mark.parametrize("scheme", sorted(SCHEDULERS))
-    def test_batch_mix_under_fault_storm(self, scheme, simulators):
+    def test_batch_mix_under_fault_storm(self, scheme, simulators,
+                                         sample_stream):
         mix = make_scenario_mixes("L3", n_mixes=1, seed=11)[0]
-        fixed = simulate(simulators["fixed"], SCHEDULERS[scheme], mix)
-        event = simulate(simulators["event"], SCHEDULERS[scheme], mix)
+        fixed = simulate(simulators["fixed"], sample_stream(),
+                         SCHEDULERS[scheme], mix)
+        event = simulate(simulators["event"], sample_stream(),
+                         SCHEDULERS[scheme], mix)
         assert_equivalent(fixed, event)
 
     @pytest.mark.parametrize("seed", [3, 11, 29])
-    def test_property_seeded_storms_stay_equivalent(self, seed, simulators):
+    def test_property_seeded_storms_stay_equivalent(self, seed, simulators,
+                                                    sample_stream):
         """Property-style: whatever storm a seed realizes, engines agree."""
         mix = make_scenario_mixes("L2", n_mixes=1, seed=seed)[0]
-        fixed = simulate(simulators["fixed"], make_oracle_scheduler, mix,
-                         seed=seed)
-        event = simulate(simulators["event"], make_oracle_scheduler, mix,
-                         seed=seed)
+        fixed = simulate(simulators["fixed"], sample_stream(),
+                         make_oracle_scheduler, mix, seed=seed)
+        event = simulate(simulators["event"], sample_stream(),
+                         make_oracle_scheduler, mix, seed=seed)
         assert_equivalent(fixed, event)
         # The storm actually did something, under both engines.
-        assert fixed.fault_summary.node_failures >= 1
+        assert fixed[0].fault_summary.node_failures >= 1
 
-    def test_open_arrivals_interleaved_with_faults(self, simulators):
+    def test_open_arrivals_interleaved_with_faults(self, simulators,
+                                                   sample_stream):
         """Arrival process + fault timeline compose on one clock."""
         import numpy as np
 
@@ -116,16 +133,17 @@ class TestFaultGoldenEquivalence:
         arrivals = ArrivalSpec(kind="poisson", rate_per_min=0.2)
         jobs = arrivals.apply(mix, np.random.default_rng(5))
         assert any(job.submit_time_min > 0 for job in jobs)
-        fixed = simulate(simulators["fixed"], make_oracle_scheduler, jobs,
-                         seed=5)
-        event = simulate(simulators["event"], make_oracle_scheduler, jobs,
-                         seed=5)
+        fixed = simulate(simulators["fixed"], sample_stream(),
+                         make_oracle_scheduler, jobs, seed=5)
+        event = simulate(simulators["event"], sample_stream(),
+                         make_oracle_scheduler, jobs, seed=5)
         assert_equivalent(fixed, event)
         # Jobs kept arriving while the cluster churned: some submission
         # happened after the first fault fired.
-        first_fault = min(e.time for e in fixed.events.events
+        events = fixed[0].events.events
+        first_fault = min(e.time for e in events
                           if e.kind.value == "node_down")
-        last_arrival = max(e.time for e in fixed.events.events
+        last_arrival = max(e.time for e in events
                            if e.kind.value == "app_submitted")
         assert last_arrival > first_fault
 
@@ -139,14 +157,16 @@ class TestFaultRegistryScenarios:
 
     @pytest.mark.parametrize("name", ["flaky_nodes", "preemptible"])
     def test_fault_scenarios_run_end_to_end_on_both_engines(self, name,
-                                                            simulators):
+                                                            simulators,
+                                                            sample_stream):
         spec = scenario(name)
         mixes = spec.make_mixes(n_mixes=1, seed=11)
-        results = {}
+        runs = {}
         for mode, simulator_type in simulators.items():
             simulator = simulator_type(spec.build_cluster(),
                                        PairwiseScheduler(), seed=11,
                                        faults=spec.faults,
                                        max_time_min=spec.max_time_min)
-            results[mode] = simulator.run(mixes[0])
-        assert_equivalent(results["fixed"], results["event"])
+            samples = sample_stream().attach(simulator.events)
+            runs[mode] = (simulator.run(mixes[0]), samples)
+        assert_equivalent(runs["fixed"], runs["event"])

@@ -15,9 +15,13 @@ from repro.workloads.mixes import make_random_mix
 ENGINES = ("fixed", "event")
 
 
-def simulate(simulator_type, factory, jobs, n_nodes=6, **kwargs):
+def simulate(simulator_type, factory, jobs, n_nodes=6, samples=None,
+             **kwargs):
+    """One run; ``samples``, when given, records its usage samples."""
     simulator = simulator_type(Cluster.homogeneous(n_nodes), factory(),
                                seed=11, **kwargs)
+    if samples is not None:
+        samples.attach(simulator.events)
     return simulator.run(jobs)
 
 
@@ -85,17 +89,21 @@ class TestEngineEquivalenceOpenArrivals:
     @pytest.mark.parametrize("factory", [PairwiseScheduler,
                                          make_oracle_scheduler,
                                          OnlineSearchScheduler])
-    def test_engines_agree_on_staggered_mix(self, factory, simulators):
-        fixed = simulate(simulators["fixed"], factory, staggered_jobs())
-        event = simulate(simulators["event"], factory, staggered_jobs())
+    def test_engines_agree_on_staggered_mix(self, factory, simulators,
+                                            sample_stream):
+        fixed_samples, event_samples = sample_stream(), sample_stream()
+        fixed = simulate(simulators["fixed"], factory, staggered_jobs(),
+                         samples=fixed_samples)
+        event = simulate(simulators["event"], factory, staggered_jobs(),
+                         samples=event_samples)
         assert fixed.all_finished() and event.all_finished()
         assert event.makespan_min == pytest.approx(fixed.makespan_min,
                                                    rel=1e-9)
         for name, app in fixed.apps.items():
             assert event.apps[name].turnaround_min() == pytest.approx(
                 app.turnaround_min(), rel=1e-9)
-        assert event.utilization_times == fixed.utilization_times
-        assert event.utilization_trace == fixed.utilization_trace
+        assert fixed_samples.times
+        assert event_samples == fixed_samples
 
     def test_engines_agree_on_poisson_arrivals(self, simulators):
         rng = np.random.default_rng(17)
