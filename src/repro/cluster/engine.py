@@ -35,8 +35,12 @@ schedulers observe freed resources.  Because reservations, footprints,
 node speeds and contention factors are all piecewise-constant between
 scheduler invocations — fault events are themselves grid-aligned epochs —
 the grid-aligned jumps reproduce the fixed-step trajectory — placements,
-failures, finish times and monitor samples — while skipping every step at
-which nothing can change.
+failures, finish times, and the CPU and utilisation samples — while
+skipping every step at which nothing can change.  Memory samples are
+identical on static clusters; under faults they agree to ``rel=1e-9``
+(the tolerance the parity tests check), because a killed executor's
+unprocessed share, which the fixed-step engine accumulates step by step
+and this engine in jumps, can differ in its last bits.
 
 Both engines run their per-epoch hot loops as reductions over the
 structured arrays of :class:`~repro.cluster.state.ClusterState`: capacity
@@ -328,7 +332,7 @@ class _EngineBase:
             node.remove_executor(victim)
             sim.events.publish(ExecutorOOM(
                 time=now, app=victim.app_name, node_id=node.node_id,
-                lost_gb=lost, detail=f"returned={lost:.1f}GB"))
+                lost_gb=lost))
             active = node.active_executors()
             total_memory = _in_order_sum(footprint_of(e) for e in active)
         return active, total_memory
@@ -467,9 +471,8 @@ class FixedStepEngine(_EngineBase):
         for node_slot in sorted(eventful):
             node = state.node_objs[node_slot]
             if snap.paging[node_slot]:
-                sim.events.record(
-                    now, EventKind.NODE_PAGING, node_id=node.node_id,
-                    detail=f"resident={snap.total_memory[node_slot]:.1f}GB")
+                sim.events.record(now, EventKind.NODE_PAGING,
+                                  node_id=node.node_id)
             for slot in fin_by_node.get(node_slot, ()):
                 executor = state.exec_objs[slot]
                 executor.state = ExecutorState.FINISHED
@@ -506,8 +509,7 @@ class FixedStepEngine(_EngineBase):
             paging = total_memory > node.ram_gb
             if paging:
                 sim.events.record(now, EventKind.NODE_PAGING,
-                                  node_id=node.node_id,
-                                  detail=f"resident={total_memory:.1f}GB")
+                                  node_id=node.node_id)
             memory_factor = sim.interference.paging_slowdown if paging else 1.0
             bandwidth_factor = sim.interference.bandwidth_factor(len(active))
             speed_factor = node.speed_factor
@@ -581,10 +583,8 @@ class EventDrivenEngine(_EngineBase):
             after_kill = self._align(now, now)
         # Paging transitions are recorded per node in id order.
         for node_slot in np.flatnonzero(snap.paging).tolist():
-            sim.events.record(
-                now, EventKind.NODE_PAGING,
-                node_id=state.node_ids[node_slot],
-                detail=f"resident={snap.total_memory[node_slot]:.1f}GB")
+            sim.events.record(now, EventKind.NODE_PAGING,
+                              node_id=state.node_ids[node_slot])
         ex = state.execs_view()
         act = snap.act
         rates = remaining = None

@@ -83,16 +83,15 @@ class EventKind(str, Enum):
 class Event:
     """A single timestamped simulation event (the hierarchy's base).
 
-    The flat ``(time, kind, app, node_id, detail)`` shape is the log's
-    wire format; typed subclasses below fix ``kind`` and add structured
-    payload fields where a string ``detail`` would lose information.
+    The flat ``(time, kind, app, node_id)`` shape is the log's wire
+    format; typed subclasses below fix ``kind`` and carry their numbers
+    as typed payload fields (``budget_gb``, ``lost_gb``, ...).
     """
 
     time: float
     kind: EventKind
     app: str | None = None
     node_id: int | None = None
-    detail: str = ""
 
 
 #: Alias making the hierarchy's intent explicit at use sites.
@@ -301,10 +300,10 @@ class EventLog:
     events: list[Event] = field(default_factory=list)
 
     def record(self, time: float, kind: EventKind, app: str | None = None,
-               node_id: int | None = None, detail: str = "") -> None:
+               node_id: int | None = None) -> None:
         """Append an event to the log."""
         self.events.append(Event(time=time, kind=kind, app=app,
-                                 node_id=node_id, detail=detail))
+                                 node_id=node_id))
 
     def of_kind(self, kind: EventKind) -> list[Event]:
         """All events of the given kind, in chronological order."""
@@ -331,9 +330,8 @@ class EventBus(EventLog):
     consistent with "everything strictly before this event".
     """
 
-    def __init__(self, retain: bool = True) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.retain = retain
         self._subscribers: dict[EventKind | None, list[Callable[[Event], None]]] = {}
 
     # ------------------------------------------------------------------
@@ -367,19 +365,17 @@ class EventBus(EventLog):
         """Dispatch an event to its subscribers and retain it in the log.
 
         Transient kinds (:data:`TRANSIENT_KINDS`) are dispatched but not
-        retained; with ``retain=False`` nothing is retained at all (for
-        very long runs that only consume streaming subscribers).
+        retained.
         """
         for callback in self._subscribers.get(event.kind, ()):
             callback(event)
         for callback in self._subscribers.get(None, ()):
             callback(event)
-        if self.retain and event.kind not in TRANSIENT_KINDS:
+        if event.kind not in TRANSIENT_KINDS:
             self.events.append(event)
         return event
 
     def record(self, time: float, kind: EventKind, app: str | None = None,
-               node_id: int | None = None, detail: str = "") -> None:
+               node_id: int | None = None) -> None:
         """Build a plain :class:`Event` and publish it (log compatibility)."""
-        self.publish(Event(time=time, kind=kind, app=app, node_id=node_id,
-                           detail=detail))
+        self.publish(Event(time=time, kind=kind, app=app, node_id=node_id))

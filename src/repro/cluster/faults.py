@@ -593,8 +593,7 @@ class FaultController:
         # controller → engine coupling.
         sim.events.publish(event_cls(
             time=now, app=executor.app_name, node_id=node.node_id,
-            lost_gb=lost, executor_id=executor.executor_id,
-            detail=f"lost={lost:.1f}GB"))
+            lost_gb=lost, executor_id=executor.executor_id))
 
     def _kill_executors(self, node, now: float) -> None:
         """Kill a node's active executors (it failed under them)."""
@@ -616,9 +615,7 @@ class FaultController:
         self._kill_executors(node, now)
         node.mark_down()
         published = self.sim.events.publish(NodeDown(
-            time=now, node_id=node.node_id,
-            detail=(f"recovery_in={event.duration_min:.1f}min"
-                    if event.duration_min else "no_recovery")))
+            time=now, node_id=node.node_id))
         if event.duration_min:
             self._push(FaultEvent(time_min=now + event.duration_min,
                                   action="node_up", node_id=node.node_id))
@@ -645,8 +642,7 @@ class FaultController:
                                          swap_gb=event.swap_gb,
                                          cores=event.cores)
         published = self.sim.events.publish(NodeJoined(
-            time=now, node_id=node.node_id, ram_gb=node.ram_gb,
-            detail=f"ram={node.ram_gb:g}GB cores={node.cores}"))
+            time=now, node_id=node.node_id, ram_gb=node.ram_gb))
         self._notify(context, published)
 
     def _apply_preempt(self, context, event: FaultEvent, now: float) -> None:
@@ -677,8 +673,7 @@ class FaultController:
             return
         node.set_speed(event.speed_factor)
         published = self.sim.events.publish(StragglerOnset(
-            time=now, node_id=node.node_id, speed_factor=event.speed_factor,
-            detail=f"speed={event.speed_factor:.2f}"))
+            time=now, node_id=node.node_id, speed_factor=event.speed_factor))
         if event.duration_min:
             self._push(FaultEvent(time_min=now + event.duration_min,
                                   action="straggler_off",

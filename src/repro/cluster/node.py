@@ -7,13 +7,12 @@ are tracked separately from the *actual* footprints, which the simulator
 computes from ground truth — the gap between the two is exactly where
 mispredicted memory requirements cause paging or out-of-memory failures.
 
-Since the array-backed kernel core (:mod:`repro.cluster.state`), a node
-that belongs to a :class:`~repro.cluster.cluster.Cluster` is a thin view
-over one slot of the cluster's node array: the ``is_up``/``speed_factor``
-flags are dual-written (scalar for fast object reads, array column for
-vectorized scans) and the cached reservation aggregates are mirrored
-into the array by :meth:`Node._refresh`, so the engines' capacity
-accounting runs over columns while schedulers keep the object API.
+A node lives in a :class:`~repro.cluster.cluster.Cluster` and is a view
+over one row of the cluster's node array (:mod:`repro.cluster.state`):
+``is_up``, ``speed_factor`` and the reservation sums are read from and
+written to that row only, so the engines' capacity accounting runs over
+columns while schedulers keep the object API.  The node itself holds
+its static capacities and its executor objects.
 """
 
 from __future__ import annotations
@@ -40,51 +39,36 @@ class Node:
     """
 
     __slots__ = ("node_id", "ram_gb", "swap_gb", "cores", "executors",
-                 "_is_up", "_speed_factor", "_state", "_slot",
-                 "_dirty", "_active",
-                 "_reserved_memory", "_reserved_cpu")
+                 "_state", "_slot", "_active")
 
     def __init__(self, node_id: int, ram_gb: float = 64.0,
-                 swap_gb: float = 16.0, cores: int = 16,
-                 executors: list[Executor] | None = None,
-                 is_up: bool = True, speed_factor: float = 1.0) -> None:
+                 swap_gb: float = 16.0, cores: int = 16) -> None:
         if ram_gb <= 0:
             raise ValueError("ram_gb must be positive")
         if swap_gb < 0:
             raise ValueError("swap_gb cannot be negative")
         if cores < 1:
             raise ValueError("cores must be at least 1")
-        if speed_factor <= 0:
-            raise ValueError("speed_factor must be positive")
         self.node_id = node_id
         self.ram_gb = ram_gb
         self.swap_gb = swap_gb
         self.cores = cores
-        self.executors: list[Executor] = (
-            list(executors) if executors is not None else [])
-        self._is_up = bool(is_up)
-        self._speed_factor = float(speed_factor)
-        # Array-slot view: set by ClusterState.adopt_node when the node
-        # joins a cluster; standalone nodes work purely off the scalars.
+        self.executors: list[Executor] = []
+        # The row this node views: set by ClusterState.adopt_node when
+        # the node joins a cluster.
         self._state = None
         self._slot = None
-        # Reservation aggregates are queried by schedulers many times per
-        # placement pass; they are cached and invalidated on membership
-        # changes and executor state transitions (executors notify their
-        # node).
-        self._dirty = True
+        # The active executors in insertion order, rebuilt with the
+        # reservation sums whenever the node's row is refreshed.
         self._active: list[Executor] = []
-        self._reserved_memory = 0.0
-        self._reserved_cpu = 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Node(node_id={self.node_id}, ram_gb={self.ram_gb}, "
                 f"swap_gb={self.swap_gb}, cores={self.cores}, "
-                f"executors={self.executors}, is_up={self.is_up}, "
-                f"speed_factor={self.speed_factor})")
+                f"executors={self.executors})")
 
     # ------------------------------------------------------------------
-    # Dual-written dynamic flags
+    # Dynamic-cluster state (the row's ``up``/``speed`` cells)
     # ------------------------------------------------------------------
     @property
     def is_up(self) -> bool:
@@ -94,13 +78,7 @@ class Node:
         stable) but are skipped by every placement scan and admission
         test.
         """
-        return self._is_up
-
-    @is_up.setter
-    def is_up(self, value: bool) -> None:
-        self._is_up = bool(value)
-        if self._state is not None:
-            self._state._node["up"][self._slot] = self._is_up
+        return bool(self._state._node["up"][self._slot])
 
     @property
     def speed_factor(self) -> float:
@@ -109,39 +87,31 @@ class Node:
         The straggler fault model lowers it below 1.0 and restores it on
         recovery.  Healthy nodes run at exactly 1.0.
         """
-        return self._speed_factor
+        return float(self._state._node["speed"][self._slot])
 
-    @speed_factor.setter
-    def speed_factor(self, value: float) -> None:
-        self._speed_factor = float(value)
-        if self._state is not None:
-            self._state._node["speed"][self._slot] = self._speed_factor
-            # Speed is not a reservation aggregate, so no dirty refresh
-            # is needed — but version-cached feature snapshots
-            # (NodeFeatures) must observe straggler onset/recovery, so
-            # the mutation still has to move the state version.
-            self._state.version += 1
-
-    # ------------------------------------------------------------------
-    # Dynamic-cluster state transitions
-    # ------------------------------------------------------------------
     def mark_down(self) -> None:
         """Take the node out of the live cluster (failure/decommission)."""
-        self.is_up = False
-        self.speed_factor = 1.0
+        nodes, slot = self._state._node, self._slot
+        nodes["up"][slot] = False
+        nodes["speed"][slot] = 1.0
         self.invalidate_reservations()
 
     def mark_up(self) -> None:
         """Return a failed node to the live cluster, at full speed."""
-        self.is_up = True
-        self.speed_factor = 1.0
+        nodes, slot = self._state._node, self._slot
+        nodes["up"][slot] = True
+        nodes["speed"][slot] = 1.0
         self.invalidate_reservations()
 
     def set_speed(self, factor: float) -> None:
         """Set the straggler progress multiplier (1.0 = healthy)."""
         if factor <= 0:
             raise ValueError("speed_factor must be positive")
-        self.speed_factor = factor
+        self._state._node["speed"][self._slot] = factor
+        # Speed is not a reservation sum, so the row stays clean, but
+        # version-cached feature snapshots (NodeFeatures) must observe
+        # straggler onset and recovery.
+        self._state.version += 1
 
     # ------------------------------------------------------------------
     # Executor management
@@ -150,26 +120,27 @@ class Node:
         """Place an executor on this node."""
         if executor.node_id != self.node_id:
             raise ValueError("executor is destined for a different node")
+        state, slot = self._state, self._slot
         self.executors.append(executor)
         executor._node = self
-        if self._state is not None and executor._state is None:
-            self._state.adopt_executor(executor, self._slot)
-        if not self._dirty and executor.is_active:
-            # Appending an active executor to a clean node updates the
-            # cached aggregates incrementally.  This is bit-for-bit equal
-            # to the full recompute: ``_refresh`` accumulates left to
-            # right and the newcomer sits at the end of the active list,
-            # so old_sum + budget IS the recomputed sum.  (Removals
-            # cannot be done this way — subtraction is not the exact
-            # inverse of sequential addition — and still invalidate.)
+        state.adopt_executor(executor, slot)
+        if slot not in state._dirty_nodes and executor.is_active:
+            # Appending an active executor to a clean row updates its sums
+            # in place.  This is bit-for-bit equal to the full recompute:
+            # ``_refresh`` accumulates left to right and the newcomer sits
+            # at the end of the active list, so old_sum + budget IS the
+            # recomputed sum.  (Removals cannot be done this way —
+            # subtraction is not the exact inverse of sequential addition
+            # — and still invalidate.)  Column first (``nodes[column][slot]``):
+            # a field write through the row's ``np.void`` costs about three
+            # times as much.
             self._active.append(executor)
-            self._reserved_memory += executor.memory_budget_gb
-            self._reserved_cpu += executor.cpu_demand
-            if self._state is not None:
-                self._write_aggregates()
+            nodes = state._node
+            nodes["reserved_mem_gb"][slot] += executor.memory_budget_gb
+            nodes["reserved_cpu"][slot] += executor.cpu_demand
+            nodes["n_active"][slot] += 1
         else:
             self.invalidate_reservations()
-        self.rebalance_threads()
 
     def remove_executor(self, executor: Executor) -> None:
         """Remove an executor (finished or failed) from this node."""
@@ -178,60 +149,34 @@ class Node:
         if executor._state is not None:
             executor._state.evict_executor(executor)
         self.invalidate_reservations()
-        self.rebalance_threads()
 
     def invalidate_reservations(self) -> None:
-        """Drop the cached aggregates (membership or activity changed)."""
-        self._dirty = True
-        if self._state is not None:
-            self._state.mark_node_dirty(self._slot)
+        """Mark the row's reservation sums stale (membership or activity
+        changed)."""
+        self._state.mark_node_dirty(self._slot)
 
     def _refresh(self) -> None:
-        if not self._dirty:
+        """Recompute the row's reservation sums if they are stale."""
+        state, slot = self._state, self._slot
+        if slot not in state._dirty_nodes:
             return
-        self._active = [e for e in self.executors if e.is_active]
+        state._dirty_nodes.discard(slot)
+        self._active = active = [e for e in self.executors if e.is_active]
         # Left to right, like the incremental update in ``add_executor``
         # (``sum()`` compensates float rounding from Python 3.12).
         reserved_memory = reserved_cpu = 0.0
-        for e in self._active:
+        for e in active:
             reserved_memory += e.memory_budget_gb
             reserved_cpu += e.cpu_demand
-        self._reserved_memory = reserved_memory
-        self._reserved_cpu = reserved_cpu
-        self._dirty = False
-        if self._state is not None:
-            self._write_aggregates()
-
-    def _write_aggregates(self) -> None:
-        """Mirror the cached aggregates into this node's array row.
-
-        Column first (``nodes[column][slot]``): a field write through the
-        row's ``np.void`` costs about three times as much.
-        """
-        nodes, slot = self._state._node, self._slot
-        nodes["reserved_mem_gb"][slot] = self._reserved_memory
-        nodes["reserved_cpu"][slot] = self._reserved_cpu
-        nodes["n_active"][slot] = len(self._active)
+        nodes = state._node
+        nodes["reserved_mem_gb"][slot] = reserved_memory
+        nodes["reserved_cpu"][slot] = reserved_cpu
+        nodes["n_active"][slot] = len(active)
 
     def active_executors(self) -> list[Executor]:
         """Executors still running work on this node."""
         self._refresh()
         return list(self._active)
-
-    def rebalance_threads(self) -> None:
-        """Evenly distribute the node's cores across active executors.
-
-        The paper dynamically adjusts the number of threads created by each
-        executor so that co-running executors share processor cores evenly
-        (Section 4.3).
-        """
-        self._refresh()
-        active = self._active
-        if not active:
-            return
-        share = max(1, self.cores // len(active))
-        for executor in active:
-            executor.threads = share
 
     # ------------------------------------------------------------------
     # Reservation (scheduler-side) accounting
@@ -240,7 +185,7 @@ class Node:
     def reserved_memory_gb(self) -> float:
         """Total heap granted to executors still running on this node."""
         self._refresh()
-        return self._reserved_memory
+        return float(self._state._node["reserved_mem_gb"][self._slot])
 
     @property
     def free_reserved_memory_gb(self) -> float:
@@ -251,12 +196,7 @@ class Node:
     def reserved_cpu_load(self) -> float:
         """Aggregate CPU demand of the active executors on this node."""
         self._refresh()
-        return self._reserved_cpu
-
-    @property
-    def free_cpu_load(self) -> float:
-        """Remaining CPU headroom before the aggregate load reaches 100 %."""
-        return max(1.0 - self.reserved_cpu_load, 0.0)
+        return float(self._state._node["reserved_cpu"][self._slot])
 
     def can_host(self, memory_gb: float, cpu_load: float) -> bool:
         """Whether a new executor with the given demands fits this node.

@@ -209,6 +209,8 @@ class NodeFeatures:
         to the (node, app) index gives the index a full build would.
         ``self`` is left unchanged.
         """
+        # The rows are read without a refresh: each spawned-onto node was
+        # clean and stayed clean through its in-place spawn update.
         rows = self._sim.cluster.state.nodes_view()
         fresh = object.__new__(NodeFeatures)
         fresh._sim = self._sim
@@ -429,9 +431,7 @@ class SchedulingContext:
         app.mark_started(self.now)
         self._sim.events.publish(ExecutorSpawned(
             time=self.now, app=app.name, node_id=node_id,
-            budget_gb=memory_budget_gb, data_gb=granted,
-            detail=f"budget={memory_budget_gb:.1f}GB "
-                   f"data={granted:.1f}GB"))
+            budget_gb=memory_budget_gb, data_gb=granted))
         return executor
 
 
@@ -442,13 +442,10 @@ class ClusterSimulator:
     engine_type = EventDrivenEngine
 
     def __init__(self, cluster: Cluster, scheduler, time_step_min: float = 0.5,
-                 interference: InterferenceModel | None = None,
-                 monitor_window_min: float = 5.0,
                  max_time_min: float = 50_000.0,
                  seed: int | None = 0,
                  faults: FaultSpec | None = None) -> None:
         for name, value in (("time_step_min", time_step_min),
-                            ("monitor_window_min", monitor_window_min),
                             ("max_time_min", max_time_min)):
             require_finite(name, value)
             if value <= 0:
@@ -456,16 +453,16 @@ class ClusterSimulator:
         self.cluster = cluster
         self.scheduler = scheduler
         self.time_step_min = time_step_min
-        self.interference = interference or InterferenceModel()
+        self.interference = InterferenceModel()
         self.max_time_min = max_time_min
         self.faults = faults
         self.rng = np.random.default_rng(seed)
         # The event bus is the kernel's spine: engines publish, and every
-        # metrics consumer — the resource monitor, streaming statistics,
-        # fault telemetry — subscribes.
+        # metrics consumer — the resource monitor (over the paper's
+        # 5-minute window), streaming statistics, fault telemetry —
+        # subscribes.
         self.events = EventBus()
-        self.monitor = ResourceMonitor(window_min=monitor_window_min).attach(
-            self.events)
+        self.monitor = ResourceMonitor().attach(self.events)
         self.engine = None
         self.fault_controller: FaultController | None = None
         # Per-run bus subscriber, created by start() and detached by
@@ -524,8 +521,7 @@ class ClusterSimulator:
         self.submission_index[name] = len(self.submission_order)
         self.submission_order.append(app)
         self.events.publish(JobArrival(time=now, app=name,
-                                       input_gb=job.input_gb,
-                                       detail=f"input={job.input_gb:.1f}GB"))
+                                       input_gb=job.input_gb))
         delay = 0.0
         if hasattr(self.scheduler, "on_submit"):
             delay = float(self.scheduler.on_submit(context, app) or 0.0)

@@ -13,15 +13,17 @@ utilization sampling) become vectorized operations over array columns.
 Ownership and invalidation rules (see ``docs/ARCHITECTURE.md``):
 
 * The :class:`~repro.cluster.cluster.Cluster` owns exactly one
-  ``ClusterState``; nodes and executors are *adopted* into it when they
-  join the cluster and *evicted* when they leave.
+  ``ClusterState``; a node is *adopted* into it when it joins the
+  cluster and keeps no copy of its row; executors are adopted when they
+  are placed and *evicted* when they leave.
 * Executor slots are append-only — slot order equals spawn order equals
   ``executor_id`` order — and compaction (:meth:`ClusterState.compact`)
   preserves that order, so vectorized reductions over slots reproduce
   the per-object iteration order bit for bit.
-* Node reservation aggregates are recomputed lazily: mutations mark a
-  node dirty and :meth:`refresh_dirty` re-runs the (order-preserving,
-  hence bit-exact) per-node Python sums only for dirty nodes.
+* Node reservation sums are recomputed lazily: mutations put a node in
+  the dirty set (the one dirty flag), and the node's own reads or
+  :meth:`refresh_dirty` re-run the (order-preserving, hence bit-exact)
+  per-node Python sums only for dirty nodes.
 * Schedulers never see these arrays: they keep talking to ``Node`` /
   ``SchedulingContext``, whose reads are backed by the same slots.
 """
@@ -32,9 +34,11 @@ import numpy as np
 
 __all__ = ["ClusterState", "NODE_DTYPE", "EXEC_DTYPE", "APP_DTYPE"]
 
-#: Per-node columns.  Static capacities are copied in at adoption;
-#: ``up``/``speed`` are dual-written by the Node mutators; the
-#: reservation aggregates are written by ``Node._refresh``.
+#: Per-node columns, the only store of each node fact.  Static
+#: capacities are copied in at adoption; ``up``/``speed`` are written by
+#: the Node mutators; the reservation sums are written by the spawn path
+#: (``Node.add_executor``) on a clean row and recomputed by
+#: ``Node._refresh`` on a dirty one.
 NODE_DTYPE = np.dtype([
     ("ram_gb", np.float64),
     ("swap_gb", np.float64),
@@ -151,19 +155,15 @@ class ClusterState:
         if slot >= len(self._node):
             self._node = _grown(self._node, slot + 1)
         # One tuple per row (NODE_DTYPE order): a single structured write
-        # instead of one per field.  The reservation aggregates start at
-        # zero and are written by the first refresh.
-        self._node[slot] = (node.ram_gb, node.swap_gb, node.cores, node.is_up,
-                            node.speed_factor, 0.0, 0.0, 0)
+        # instead of one per field.  A new node is up, at full speed and
+        # hosts nothing, so its zero reservation sums are already fresh.
+        self._node[slot] = (node.ram_gb, node.swap_gb, node.cores, True, 1.0,
+                            0.0, 0.0, 0)
         self.node_objs.append(node)
         self.node_ids.append(int(node.node_id))
         self.n_nodes = slot + 1
         node._state = self
         node._slot = slot
-        node.invalidate_reservations()
-        for executor in node.executors:
-            if getattr(executor, "_state", None) is None:
-                self.adopt_executor(executor, slot)
         return slot
 
     def adopt_executor(self, executor, node_slot: int) -> int:
@@ -249,17 +249,14 @@ class ClusterState:
         self._dirty_nodes.add(slot)
 
     def refresh_dirty(self) -> None:
-        """Re-run the per-node refresh for every dirty node.
+        """Recompute the reservation sums of every dirty node's row.
 
-        The refresh itself stays a Python sum in executor insertion
-        order — bit-for-bit what the per-object path computes — and
-        writes the aggregates into the node columns as a side effect.
+        Each refresh (``Node._refresh``) is a Python sum in executor
+        insertion order, bit for bit what the incremental spawn path
+        computes, and takes its node out of the dirty set.
         """
-        if not self._dirty_nodes:
-            return
-        dirty, self._dirty_nodes = self._dirty_nodes, set()
         node_objs = self.node_objs
-        for slot in dirty:
+        for slot in list(self._dirty_nodes):
             node_objs[slot]._refresh()
 
     # ------------------------------------------------------------------

@@ -319,6 +319,9 @@ class _Ranking:
         the expression ``NodeFeatures`` computes.
         """
         _, slot = self.entries.pop(position)
+        # Read without a refresh: the pass's snapshot left every node
+        # clean, and a spawn onto a clean node updates its row in place
+        # and keeps it clean (``Node.add_executor``).
         rows = self._state.nodes_view()
         free = max(float(rows["ram_gb"][slot] - rows["reserved_mem_gb"][slot]),
                    0.0)

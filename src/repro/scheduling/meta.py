@@ -359,8 +359,7 @@ class MetaScheduler(Scheduler):
     def _switch(self, ctx: SchedulingContext, to_name: str,
                 reason: str) -> None:
         event = SchemeSwitched(time=ctx.now, from_scheme=self.active_name,
-                               to_scheme=to_name, reason=reason,
-                               detail=reason)
+                               to_scheme=to_name, reason=reason)
         self.active_name = to_name
         self.last_switch_min = ctx.now
         self.switch_count += 1

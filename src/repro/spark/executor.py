@@ -3,9 +3,9 @@
 A Spark executor is a JVM process with a dedicated heap that caches RDD
 partitions and runs parallel tasks.  The paper's scheduler operates at the
 executor granularity: it spawns additional executors on nodes with spare
-memory, sizes their heap using the predicted memory function, and adjusts
-the number of task threads so co-running executors share the node's cores
-evenly (Section 4.3).
+memory and sizes their heap using the predicted memory function
+(Section 4.3).  CPU contention between co-running executors is modelled
+from the node's reserved CPU load, so an executor keeps no thread count.
 
 Since the array-backed kernel core (:mod:`repro.cluster.state`), an
 executor placed on a cluster node is a thin *view* over one slot of the
@@ -51,19 +51,17 @@ class Executor:
         processing.
     cpu_demand:
         CPU demand (fraction of the node) inherited from the application.
-    threads:
-        Task threads currently allotted; the simulator rebalances this when
-        executors join or leave a node.
+    app_index:
+        Submission index of the owning application (-1 outside a
+        simulator run).
     """
 
     __slots__ = ("app_name", "node_id", "memory_budget_gb", "cpu_demand",
-                 "threads", "executor_id", "state", "app_index",
+                 "executor_id", "state", "app_index",
                  "_assigned_gb", "_processed_gb", "_node", "_state", "_slot")
 
     def __init__(self, app_name: str, node_id: int, memory_budget_gb: float,
-                 assigned_gb: float, cpu_demand: float, threads: int = 1,
-                 executor_id: int | None = None, processed_gb: float = 0.0,
-                 state: ExecutorState = ExecutorState.RUNNING,
+                 assigned_gb: float, cpu_demand: float,
                  app_index: int = -1) -> None:
         if memory_budget_gb <= 0:
             raise ValueError("memory_budget_gb must be positive")
@@ -71,26 +69,21 @@ class Executor:
             raise ValueError("assigned_gb cannot be negative")
         if not 0 < cpu_demand <= 1.0:
             raise ValueError("cpu_demand must be in (0, 1]")
-        if threads < 1:
-            raise ValueError("threads must be at least 1")
         self.app_name = app_name
         self.node_id = node_id
         self.memory_budget_gb = memory_budget_gb
         self.cpu_demand = cpu_demand
-        self.threads = threads
-        self.executor_id = (next(_EXECUTOR_IDS) if executor_id is None
-                            else executor_id)
-        self.state = state
+        self.executor_id = next(_EXECUTOR_IDS)
+        self.state = ExecutorState.RUNNING
         # Integer identity of the owning application (its submission
         # index), used by the vectorized per-node colocation counts;
         # -1 for executors spawned outside a simulator run.
         self.app_index = app_index
         self._assigned_gb = assigned_gb
-        self._processed_gb = processed_gb
+        self._processed_gb = 0.0
         # Back-reference to the hosting Node, set by Node.add_executor;
-        # state transitions notify it so the node's cached reservation
-        # aggregates stay coherent without rescanning executors on every
-        # query.
+        # state transitions notify it so the node's reservation sums are
+        # recomputed on the next read.
         self._node = None
         # Array-slot view: set by ClusterState.adopt_executor while the
         # executor is placed on a cluster node, cleared at eviction.
@@ -102,7 +95,7 @@ class Executor:
                 f"node_id={self.node_id}, "
                 f"memory_budget_gb={self.memory_budget_gb}, "
                 f"assigned_gb={self.assigned_gb}, "
-                f"cpu_demand={self.cpu_demand}, threads={self.threads}, "
+                f"cpu_demand={self.cpu_demand}, "
                 f"executor_id={self.executor_id}, "
                 f"processed_gb={self.processed_gb}, state={self.state})")
 
@@ -115,13 +108,6 @@ class Executor:
         if self._state is not None:
             return float(self._state._exec["assigned_gb"][self._slot])
         return self._assigned_gb
-
-    @assigned_gb.setter
-    def assigned_gb(self, value: float) -> None:
-        if self._state is not None:
-            self._state._exec["assigned_gb"][self._slot] = value
-        else:
-            self._assigned_gb = value
 
     @property
     def processed_gb(self) -> float:
@@ -174,22 +160,6 @@ class Executor:
         if self.remaining_gb <= 1e-9:
             self.state = ExecutorState.FINISHED
             self._notify_node()
-
-    def assign_more(self, extra_gb: float) -> None:
-        """Give the executor additional data to process.
-
-        Used by the dynamic adjustment in the dispatcher, which grows or
-        shrinks the number of data items given to a co-located executor as
-        memory conditions change (Section 4.3).
-        """
-        if extra_gb < 0:
-            raise ValueError("extra_gb cannot be negative")
-        if self.state in (ExecutorState.FAILED_OOM, ExecutorState.KILLED):
-            raise RuntimeError("cannot assign data to a failed executor")
-        self.assigned_gb += extra_gb
-        if self.state is ExecutorState.FINISHED and self.remaining_gb > 1e-9:
-            self.state = ExecutorState.RUNNING
-        self._notify_node()
 
     def interrupt(self) -> float:
         """Kill the executor involuntarily (node failure or preemption).

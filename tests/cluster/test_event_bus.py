@@ -72,11 +72,6 @@ class TestRetention:
         assert len(seen) == 2
         assert len(bus) == 0
 
-    def test_retain_false_keeps_nothing(self):
-        bus = EventBus(retain=False)
-        bus.publish(NodeDown(time=1.0, node_id=0))
-        assert len(bus) == 0
-
 
 class TestHierarchy:
     def test_typed_events_fix_their_kind(self):

@@ -15,52 +15,63 @@ def make_executor(node_id=0, budget=10.0, data=5.0, cpu=0.3, app="app"):
                     assigned_gb=data, cpu_demand=cpu)
 
 
+def make_node(**capacities):
+    """Node 0 of a one-node cluster: a node is a view over its cluster row."""
+    return Cluster.homogeneous(1, **capacities).node(0)
+
+
 class TestNode:
     def test_reservation_accounting(self):
-        node = Node(node_id=0, ram_gb=64.0)
+        node = make_node(ram_gb=64.0)
         node.add_executor(make_executor(budget=20.0))
         node.add_executor(make_executor(budget=10.0, app="other"))
         assert node.reserved_memory_gb == pytest.approx(30.0)
         assert node.free_reserved_memory_gb == pytest.approx(34.0)
 
     def test_cpu_accounting(self):
-        node = Node(node_id=0)
+        node = make_node()
         node.add_executor(make_executor(cpu=0.4))
         node.add_executor(make_executor(cpu=0.3, app="other"))
         assert node.reserved_cpu_load == pytest.approx(0.7)
-        assert node.free_cpu_load == pytest.approx(0.3)
 
     def test_can_host_respects_memory_and_cpu(self):
-        node = Node(node_id=0, ram_gb=64.0)
+        node = make_node(ram_gb=64.0)
         node.add_executor(make_executor(budget=60.0, cpu=0.5))
         assert not node.can_host(memory_gb=10.0, cpu_load=0.1)     # memory
         assert not node.can_host(memory_gb=2.0, cpu_load=0.6)      # cpu
         assert node.can_host(memory_gb=2.0, cpu_load=0.4)
 
     def test_can_host_rejects_non_positive_memory(self):
-        assert not Node(node_id=0).can_host(memory_gb=0.0, cpu_load=0.1)
-
-    def test_thread_rebalancing_splits_cores(self):
-        node = Node(node_id=0, cores=16)
-        first = make_executor()
-        second = make_executor(app="other")
-        node.add_executor(first)
-        assert first.threads == 16
-        node.add_executor(second)
-        assert first.threads == 8
-        assert second.threads == 8
+        assert not make_node().can_host(memory_gb=0.0, cpu_load=0.1)
 
     def test_finished_executor_frees_reservation(self):
-        node = Node(node_id=0)
+        node = make_node()
         executor = make_executor(budget=30.0, data=1.0)
         node.add_executor(executor)
         executor.advance(1.0)
         assert node.reserved_memory_gb == 0.0
 
+    @pytest.mark.parametrize("read, fresh", [
+        (lambda node: node.can_host(memory_gb=30.0, cpu_load=0.5), True),
+        (lambda node: node.reserved_memory_gb, 20.0),
+        (lambda node: node.reserved_cpu_load, 0.25),
+        (lambda node: len(node.active_executors()), 1),
+    ], ids=["can_host", "reserved_memory_gb", "reserved_cpu_load",
+            "active_executors"])
+    def test_first_read_after_removal_sees_freed_capacity(self, read, fresh):
+        # Removal leaves the node's row stale until something reads it,
+        # so every read must refresh the row first.
+        node = make_node(ram_gb=64.0)
+        node.add_executor(make_executor(budget=20.0, cpu=0.25))
+        removed = make_executor(budget=40.0, cpu=0.5, app="other")
+        node.add_executor(removed)
+        node.remove_executor(removed)
+        assert read(node) == fresh
+
     def test_executor_for_wrong_node_rejected(self):
-        node = Node(node_id=3)
+        node = make_node()
         with pytest.raises(ValueError):
-            node.add_executor(make_executor(node_id=0))
+            node.add_executor(make_executor(node_id=3))
 
     def test_invalid_node_parameters_raise(self):
         with pytest.raises(ValueError):

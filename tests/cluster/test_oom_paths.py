@@ -114,7 +114,7 @@ class TestIsolatedRerun:
             assert app.processed_gb == pytest.approx(60.0, abs=1.0)
         # Replacement executors reserve the whole (64 GB) node for themselves.
         spawns = result.events.of_kind(EventKind.EXECUTOR_SPAWNED)
-        assert any("budget=64.0GB" in event.detail for event in spawns)
+        assert any(event.budget_gb == 64.0 for event in spawns)
         # Nothing is left in the retry queue at the end.
         assert all(v <= 1e-9 for v in simulator.oom_retry_gb.values())
 
@@ -138,8 +138,7 @@ class TestIsolatedRerun:
                             OverCommitScheduler(data_gb=60.0), OVERLOAD_JOBS,
                             n_nodes=3, max_time_min=20000.0)
         for event in result.events.of_kind(EventKind.EXECUTOR_OOM):
-            returned = float(event.detail.split("returned=")[1].rstrip("GB"))
-            assert 0.0 <= returned <= 60.0 + 1e-6
+            assert 0.0 <= event.lost_gb <= 60.0 + 1e-6
 
 
 class TestEnginesAgreeAfterKills:

@@ -110,8 +110,7 @@ class TestHeterogeneousScheduling:
         spawns = result.events.of_kind(EventKind.EXECUTOR_SPAWNED)
         assert spawns
         for event in spawns:
-            budget = float(event.detail.split("budget=")[1].split("GB")[0])
-            assert budget <= ram_by_node[event.node_id] + 1e-6
+            assert event.budget_gb <= ram_by_node[event.node_id] + 1e-6
 
     def test_small_nodes_host_only_small_reservations(self):
         cluster = self.hetero_cluster()
@@ -121,8 +120,7 @@ class TestHeterogeneousScheduling:
         small_spawns = [e for e in result.events.of_kind(EventKind.EXECUTOR_SPAWNED)
                         if e.node_id in small_ids]
         for event in small_spawns:
-            budget = float(event.detail.split("budget=")[1].split("GB")[0])
-            assert budget <= 12.0 + 1e-6
+            assert event.budget_gb <= 12.0 + 1e-6
 
     def test_engines_agree_on_heterogeneous_cluster(self, simulators):
         fixed = simulators["fixed"](self.hetero_cluster(),
@@ -141,8 +139,8 @@ class TestHeterogeneousScheduling:
         result = simulator.run(self.MIX)
         data_by_node: dict[int, float] = {}
         for event in result.events.of_kind(EventKind.EXECUTOR_SPAWNED):
-            data = float(event.detail.split("data=")[1].split("GB")[0])
-            data_by_node[event.node_id] = data_by_node.get(event.node_id, 0) + data
+            data_by_node[event.node_id] = (data_by_node.get(event.node_id, 0)
+                                           + event.data_gb)
         big = sum(data_by_node.get(i, 0.0) for i in (0, 1))
         small = sum(data_by_node.get(n.node_id, 0.0)
                     for n in cluster.nodes if n.ram_gb <= 12.0)

@@ -24,7 +24,6 @@ from repro.cluster.events import (
     StragglerRecovered,
 )
 from repro.cluster.faults import FaultEvent, FaultSpec
-from repro.cluster.node import Node
 from repro.metrics.throughput import evaluate_schedule
 from repro.scheduling import (
     IsolatedScheduler,
@@ -90,7 +89,7 @@ class TestContextMonitor:
     def test_memory_pressure_adds_left_to_right(self, python312_sum):
         # Ten 0.1 GB nodes: a compensated sum() of their capacity is 1.0,
         # the left-to-right total 0.9999999999999999.
-        nodes = [Node(node_id=i, ram_gb=0.1) for i in range(10)]
+        nodes = Cluster.homogeneous(10, ram_gb=0.1).nodes
         for node in nodes:
             node.add_executor(Executor("a", node.node_id, memory_budget_gb=0.03,
                                        assigned_gb=1.0, cpu_demand=0.1))

@@ -38,13 +38,6 @@ class TestExecutor:
         with pytest.raises(RuntimeError):
             executor.advance(0.1)
 
-    def test_assign_more_reactivates_finished_executor(self):
-        executor = make_executor(data=1.0)
-        executor.advance(1.0)
-        executor.assign_more(0.5)
-        assert executor.state is ExecutorState.RUNNING
-        assert executor.remaining_gb == pytest.approx(0.5)
-
     def test_fail_out_of_memory_returns_unprocessed_data(self):
         executor = make_executor(data=4.0)
         executor.advance(1.0)
