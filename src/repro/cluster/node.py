@@ -146,8 +146,7 @@ class Node:
         """Remove an executor (finished or failed) from this node."""
         self.executors.remove(executor)
         executor._node = None
-        if executor._state is not None:
-            executor._state.evict_executor(executor)
+        self._state.evict_executor(executor)
         self.invalidate_reservations()
 
     def invalidate_reservations(self) -> None:

@@ -1,7 +1,7 @@
 """Array-backed kernel state: the structured-array core of the cluster.
 
 Hot kernel state — node capacities, up/speed flags, reservation
-aggregates, executor placements and progress — lives in two NumPy
+sums, executor placements and progress — lives in two NumPy
 structured arrays owned by :class:`ClusterState`.  :class:`~repro.cluster.node.Node`
 and :class:`~repro.spark.executor.Executor` are thin *views* over one
 array slot each: scalar reads and writes go through properties that hit
@@ -109,9 +109,11 @@ class ClusterState:
         #: ``slot`` (``None`` for evicted slots awaiting compaction).
         self.exec_objs: list = []
         self._n_dead = 0
+        #: Slots of the nodes whose reservation sums are stale: the one
+        #: dirty flag (``Node._refresh`` clears a node's entry).
         self._dirty_nodes: set[int] = set()
         #: Monotone mutation counter: bumped whenever node membership,
-        #: executor placement/activity, or reservation aggregates change
+        #: executor placement/activity, or reservation sums change
         #: (adoption, eviction, dirty-marking).  Feature snapshots built
         #: from these arrays (``SchedulingContext.node_features``) are
         #: cached against it — equal version means bit-identical columns.
@@ -244,7 +246,7 @@ class ClusterState:
     # Dirty-node tracking
     # ------------------------------------------------------------------
     def mark_node_dirty(self, slot: int) -> None:
-        """A node's reservation aggregates went stale."""
+        """A node's reservation sums went stale."""
         self.version += 1
         self._dirty_nodes.add(slot)
 

@@ -6,7 +6,7 @@ pieces of Spark that the paper's scheduler interacts with:
 * :mod:`repro.spark.application` — a running application: a benchmark, its
   input size, its executors and its progress;
 * :mod:`repro.spark.executor` — an executor process with a heap budget, a
-  set of cached partitions and a task-thread count;
+  CPU demand and a set of cached partitions;
 * :mod:`repro.spark.driver` — the driver-side dynamic resource allocation
   policy that decides how many executors an application asks for.
 """
