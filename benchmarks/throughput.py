@@ -22,9 +22,9 @@ under the ``"vector"`` key, the shape of the committed report.  Its event
 count and makespan are deterministic per scenario/seed, so
 ``compare_baseline.py`` pins them to the committed run, and it gates every
 tier's events/sec normalised by the same report's ``ci`` tier.  Every
-tier runs :data:`RUNS` times, its runs must replay one trajectory, and
-the report keeps the fastest: on a shared host one run of a tier is too
-noisy to gate.
+tier runs :data:`RUNS` times, round-robin over the tiers, its runs must
+replay one trajectory, and the report keeps the fastest: on a shared host
+one run of a tier is too noisy to gate.
 ``--profile`` adds each run's per-phase wall-clock breakdown (arrivals /
 faults / oom / schedule / advance, read off the engine's always-on phase
 counters) so a regression can be attributed to the phase that caused it.
@@ -72,10 +72,9 @@ TIERS = {"ci": ("mega_ci_1k", "pairwise"),
 TIME_STEP_MIN = 0.5
 SEED = 7
 
-#: How many times each tier runs; the report keeps the fastest run.
-#: Single runs of one tier spread by up to 1.9x over fourteen reports on
-#: a shared 2-vCPU host (``ours`` 1.32-2.50 s); the fastest of a few
-#: identical runs is steadier.
+#: How many times each tier runs.  The report keeps the fastest run, so a
+#: stall that slows one run on a shared host drops out; single runs of
+#: ``ours`` took 1.32-2.50 s over fourteen reports on a 2-vCPU host.
 RUNS = 3
 
 
@@ -121,26 +120,37 @@ def run_once(scenario_name: str, scheme: str, suite: SchedulerSuite,
     return report
 
 
-def run_tier(tier: str, suite: SchedulerSuite, profile: bool) -> dict:
-    """Run one tier :data:`RUNS` times and keep the fastest run; the runs
-    must all replay the same trajectory."""
-    scenario_name, scheme = TIERS[tier]
-    runs = []
+def run_tiers(tiers: list[str], suite: SchedulerSuite,
+              profile: bool) -> dict:
+    """Run every tier :data:`RUNS` times and keep each tier's fastest run.
+
+    The runs go round-robin over the tiers, so each tier and the ``ci``
+    normaliser sample the same stretches of host time; a tier's runs must
+    all replay the same trajectory.
+    """
+    runs: dict[str, list[dict]] = {tier: [] for tier in tiers}
     for _ in range(RUNS):
-        print(f"[{tier}] {scenario_name} / {scheme} ...", flush=True,
-              file=sys.stderr)
-        run = run_once(scenario_name, scheme, suite, profile=profile)
-        print(f"[{tier}]   {run['wall_clock_s']}s, "
-              f"{run['events_per_s']:,.0f} events/s", flush=True,
-              file=sys.stderr)
-        runs.append(run)
-    trajectories = {(run["events"], run["makespan_min"], run["jobs_finished"])
-                    for run in runs}
-    if len(trajectories) != 1:
-        raise RuntimeError(f"tier {tier!r}: repeated runs diverge: "
-                           f"{sorted(trajectories)}")
-    fastest = max(runs, key=lambda run: run["events_per_s"])
-    return {"scenario": scenario_name, "scheme": scheme, "vector": fastest}
+        for tier in tiers:
+            scenario_name, scheme = TIERS[tier]
+            print(f"[{tier}] {scenario_name} / {scheme} ...", flush=True,
+                  file=sys.stderr)
+            run = run_once(scenario_name, scheme, suite, profile=profile)
+            print(f"[{tier}]   {run['wall_clock_s']}s, "
+                  f"{run['events_per_s']:,.0f} events/s", flush=True,
+                  file=sys.stderr)
+            runs[tier].append(run)
+    report = {}
+    for tier, tier_runs in runs.items():
+        trajectories = {(run["events"], run["makespan_min"],
+                         run["jobs_finished"]) for run in tier_runs}
+        if len(trajectories) != 1:
+            raise RuntimeError(f"tier {tier!r}: repeated runs diverge: "
+                               f"{sorted(trajectories)}")
+        scenario_name, scheme = TIERS[tier]
+        report[tier] = {"scenario": scenario_name, "scheme": scheme,
+                        "vector": max(tier_runs,
+                                      key=lambda run: run["events_per_s"])}
+    return report
 
 
 def parse_tiers(value: str) -> list[str]:
@@ -177,8 +187,7 @@ def main(argv=None) -> int:
         "machine": platform.machine(),
         "time_step_min": TIME_STEP_MIN,
         "seed": SEED,
-        "tiers": {tier: run_tier(tier, suite, args.profile)
-                  for tier in args.tier},
+        "tiers": run_tiers(args.tier, suite, args.profile),
     }
     Path(args.output).write_text(json.dumps(report, indent=2) + "\n")
     print(json.dumps(report["tiers"], indent=2))

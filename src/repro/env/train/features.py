@@ -189,11 +189,10 @@ def snapshot_from_state(ctx, allocation_policy) -> EpochSnapshot:
     preserves) and gathers the node arrays from the cached
     :class:`~repro.cluster.simulator.NodeFeatures` epoch snapshot (one
     boolean-mask gather per column).  Every gathered column holds the
-    node-row cells the :class:`~repro.cluster.node.Node` properties
-    read, and the two
-    derived columns use the same elementwise float64 expressions
-    (``max(ram - reserved, 0)``, ``1 - reserved_cpu``), so the arrays
-    equal :func:`snapshot_from_observation`'s for the same paused
+    node-row cells the :class:`~repro.cluster.node.Node` properties read,
+    and the two derived columns use the same elementwise float64
+    expressions (``max(ram - reserved, 0)``, ``1 - reserved_cpu``), so the
+    arrays equal :func:`snapshot_from_observation`'s for the same paused
     simulation — the property tests pin it.
     """
     features = ctx.node_features()
