@@ -68,6 +68,39 @@ class TestNode:
         node.remove_executor(removed)
         assert read(node) == fresh
 
+    def test_liveness_and_speed_live_in_the_row(self):
+        # The node keeps no copy of ``up``/``speed``: its setters write
+        # the row's cells, its properties read them, and every change
+        # moves the version that cached feature snapshots key on.
+        node = make_node()
+        state, slot = node._state, node._slot
+        row = state.nodes_view()
+        version = state.version
+        node.set_speed(0.5)
+        assert row["speed"][slot] == 0.5 and state.version > version
+        version = state.version
+        node.mark_down()
+        assert not row["up"][slot] and row["speed"][slot] == 1.0
+        assert state.version > version
+        assert not node.can_host(memory_gb=1.0, cpu_load=0.1)
+        row["up"][slot] = True
+        row["speed"][slot] = 0.25
+        assert node.is_up and node.speed_factor == 0.25
+
+    def test_spawn_onto_clean_node_keeps_its_row_fresh(self):
+        # Placement reads a node's row right after spawning onto it, with
+        # no refresh in between; that holds because an active spawn onto
+        # a clean row adds in place and leaves the node clean.
+        node = make_node(ram_gb=64.0)
+        state, slot = node._state, node._slot
+        node.add_executor(make_executor(budget=0.1, cpu=0.1))
+        node.add_executor(make_executor(budget=0.2, cpu=0.2, app="other"))
+        assert slot not in state._dirty_nodes
+        row = state.nodes_view()[slot]
+        assert float(row["reserved_mem_gb"]) == 0.1 + 0.2
+        assert float(row["reserved_cpu"]) == 0.1 + 0.2
+        assert int(row["n_active"]) == 2
+
     def test_executor_for_wrong_node_rejected(self):
         node = make_node()
         with pytest.raises(ValueError):
@@ -98,6 +131,17 @@ class TestCluster:
         assert cluster.node(1).node_id == 1
         with pytest.raises(KeyError):
             cluster.node(2)
+
+    def test_joined_node_gets_a_fresh_row(self):
+        cluster = Cluster.homogeneous(1)
+        cluster.node(0).mark_down()
+        node = cluster.add_node(ram_gb=32.0)
+        row = cluster.state.nodes_view()[node._slot]
+        assert (bool(row["up"]), float(row["speed"])) == (True, 1.0)
+        assert (float(row["reserved_mem_gb"]), float(row["reserved_cpu"]),
+                int(row["n_active"])) == (0.0, 0.0, 0)
+        assert node._slot not in cluster.state._dirty_nodes
+        assert node.can_host(memory_gb=32.0, cpu_load=1.0)
 
     def test_nodes_by_free_memory_ordering(self):
         cluster = Cluster.homogeneous(3)
