@@ -469,7 +469,7 @@ class FixedStepEngine(_EngineBase):
         eventful = set(fin_by_node)
         eventful.update(np.flatnonzero(snap.paging).tolist())
         for node_slot in sorted(eventful):
-            node = state.node_objs[node_slot]
+            node = state.node_objs[node_slot]()
             if snap.paging[node_slot]:
                 sim.events.record(now, EventKind.NODE_PAGING,
                                   node_id=node.node_id)
@@ -577,7 +577,7 @@ class EventDrivenEngine(_EngineBase):
         after_kill = math.inf
         if oom_nodes.size:
             for node_slot in oom_nodes.tolist():
-                self._resolve_node_oom(state.node_objs[node_slot], now,
+                self._resolve_node_oom(state.node_objs[node_slot](), now,
                                        self._footprint)
             snap = self._snapshot()
             after_kill = self._align(now, now)
@@ -632,7 +632,7 @@ class EventDrivenEngine(_EngineBase):
                 fin_nodes = snap.node_of[finished]
                 for i in order.tolist():
                     executor = state.exec_objs[int(fin_slots[i])]
-                    node = state.node_objs[int(fin_nodes[i])]
+                    node = state.node_objs[int(fin_nodes[i])]()
                     executor.state = ExecutorState.FINISHED
                     node.remove_executor(executor)
                     sim.events.publish(ExecutorFinished(

@@ -38,8 +38,10 @@ class Node:
         Hardware threads available for task execution.
     """
 
+    # ``__weakref__``: the cluster state's back-map refers to its nodes
+    # weakly, so a finished run is freed by reference counting.
     __slots__ = ("node_id", "ram_gb", "swap_gb", "cores", "executors",
-                 "_state", "_slot", "_active")
+                 "_state", "_slot", "_active", "__weakref__")
 
     def __init__(self, node_id: int, ram_gb: float = 64.0,
                  swap_gb: float = 16.0, cores: int = 16) -> None:

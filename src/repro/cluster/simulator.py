@@ -158,7 +158,7 @@ class NodeFeatures:
     """
 
     __slots__ = ("version", "node_ids", "ram_gb", "free_gb", "reserved_cpu",
-                 "up", "n_active", "speed", "n_apps", "_node_of", "_app_of",
+                 "up", "n_active", "speed", "_n_apps", "_node_of", "_app_of",
                  "_sim")
 
     def __init__(self, sim: "ClusterSimulator") -> None:
@@ -167,7 +167,6 @@ class NodeFeatures:
         self._sim = sim
         self.version = state.version
         rows = state.nodes_view()
-        n = len(rows)
         #: Node ids, slot order (``node_ids[slot]`` names the node).
         self.node_ids = np.asarray(state.node_ids, dtype=np.int64)
         self.ram_gb = rows["ram_gb"].copy()
@@ -183,16 +182,30 @@ class NodeFeatures:
         act = state.active_slots()
         self._node_of = execs["node_slot"][act]
         self._app_of = execs["app_index"][act]
-        if self._node_of.size:
-            # Distinct co-located applications per node: unique
-            # (node, app) pairs via a composite key, then counts per
-            # node.
-            base = len(sim.submission_order) + 2
-            key = self._node_of * base + (self._app_of + 1)
-            uniq = np.unique(key)
-            self.n_apps = np.bincount(uniq // base, minlength=n)
-        else:
-            self.n_apps = np.zeros(n, dtype=np.int64)
+        self._n_apps = None
+
+    @property
+    def n_apps(self) -> np.ndarray:
+        """Distinct applications with an active executor, per node.
+
+        Computed on first read from the (node, app) index: distinct
+        pairs via a sorted composite key, then counts per node.  Only
+        some schemes read it, so the snapshots the others build never
+        pay for the sort.  (``np.unique`` gives the same pairs but costs
+        several times the sort on a few thousand keys.)
+        """
+        if self._n_apps is None:
+            n = self.up.shape[0]
+            if self._node_of.size:
+                base = int(self._app_of.max()) + 2
+                key = np.sort(self._node_of * base + (self._app_of + 1))
+                first = np.empty(key.size, dtype=bool)
+                first[0] = True
+                np.not_equal(key[1:], key[:-1], out=first[1:])
+                self._n_apps = np.bincount(key[first] // base, minlength=n)
+            else:
+                self._n_apps = np.zeros(n, dtype=np.int64)
+        return self._n_apps
 
     def with_spawns(self, spawned: list[tuple[int, int]]) -> "NodeFeatures":
         """A new snapshot: this one plus the executors spawned since.
@@ -206,7 +219,8 @@ class NodeFeatures:
         reservation row in place, bit for bit what a full refresh
         computes (``Node.add_executor``).  So only the touched rows are
         re-read.  The newcomers are last in spawn order, so appending them
-        to the (node, app) index gives the index a full build would.
+        to the (node, app) index gives the index a full build would, and
+        :attr:`n_apps` is derived from that index on first read.
         ``self`` is left unchanged.
         """
         # The rows are read without a refresh: each spawned-onto node was
@@ -222,7 +236,7 @@ class NodeFeatures:
         fresh.free_gb = self.free_gb.copy()
         fresh.reserved_cpu = self.reserved_cpu.copy()
         fresh.n_active = self.n_active.copy()
-        fresh.n_apps = self.n_apps.copy()
+        fresh._n_apps = None
         new = np.asarray(spawned, dtype=np.int64)
         nodes, apps = new[:, 0], new[:, 1]
         ram, reserved = rows["ram_gb"], rows["reserved_mem_gb"]
@@ -231,10 +245,6 @@ class NodeFeatures:
             fresh.free_gb[slot] = max(ram[slot] - reserved[slot], 0.0)
             fresh.reserved_cpu[slot] = reserved_cpu[slot]
             fresh.n_active[slot] = n_active[slot]
-        # Each new (node, app) pair adds one co-located app to its node.
-        for node, app in dict.fromkeys(spawned):
-            if app not in self._app_of[self._node_of == node].tolist():
-                fresh.n_apps[node] += 1
         fresh._node_of = np.concatenate((self._node_of, nodes))
         fresh._app_of = np.concatenate((self._app_of, apps))
         return fresh
@@ -323,7 +333,7 @@ class SchedulingContext:
         # order (compaction preserves it).
         state = self._sim.cluster.state
         app_objs = state.app_objs
-        return [app_objs[slot]
+        return [app_objs[slot]()
                 for slot in state.waiting_app_slots(self.now).tolist()]
 
     def node_features(self) -> NodeFeatures:
@@ -594,17 +604,24 @@ class ClusterSimulator:
         return SchedulingContext(self)
 
     def detach_run_subscribers(self) -> None:
-        """Detach this run's bus subscribers (idempotent).
+        """Detach this run's bus subscribers and unbind its engine
+        (idempotent).
 
         A reused simulator must not keep feeding a previous run's
-        statistics on a subsequent run.
+        statistics on a subsequent run.  The engine and the fault
+        controller drop their simulator reference too, so no cycle ties
+        the finished run together: its objects are freed as soon as the
+        caller lets go of the simulator.  ``engine.phase_seconds`` stays
+        readable.
         """
         if self._streaming is not None:
             self.events.unsubscribe(self._streaming._on_sample)
         if self.fault_controller is not None:
             self.events.unsubscribe(self.fault_controller.stats.on_event)
+            self.fault_controller.sim = None
         if self.engine is not None:
             self.events.unsubscribe(self.engine._on_completion_event)
+            self.engine.sim = None
 
     def finish(self, now: float) -> SimulationResult:
         """Assemble the result of a run that ended at time ``now``."""

@@ -16,6 +16,13 @@ Ownership and invalidation rules (see ``docs/ARCHITECTURE.md``):
   ``ClusterState``; a node is *adopted* into it when it joins the
   cluster and keeps no copy of its row; executors are adopted when they
   are placed and *evicted* when they leave.
+* References run from the objects to the state, never back: the
+  node and application back-maps (``node_objs``/``app_objs``) hold weak
+  references, while the cluster's node list and the simulator's ``apps``
+  own the objects.  A finished run's object graph is therefore freed by
+  reference counting alone, without waiting for the cyclic collector.
+  ``exec_objs`` holds executors strongly, because eviction clears both
+  of an executor's back-references and a completed run evicts them all.
 * Executor slots are append-only — slot order equals spawn order equals
   ``executor_id`` order — and compaction (:meth:`ClusterState.compact`)
   preserves that order, so vectorized reductions over slots reproduce
@@ -29,6 +36,8 @@ Ownership and invalidation rules (see ``docs/ARCHITECTURE.md``):
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
@@ -99,8 +108,9 @@ class ClusterState:
     def __init__(self, n_nodes_hint: int = 0) -> None:
         self._node = np.zeros(max(int(n_nodes_hint), 4), NODE_DTYPE)
         self.n_nodes = 0
-        #: Parallel list: ``node_objs[slot]`` is the Node viewing ``slot``.
-        self.node_objs: list = []
+        #: Parallel list: ``node_objs[slot]()`` is the Node viewing
+        #: ``slot`` (a weak reference; the cluster owns its nodes).
+        self.node_objs: list[weakref.ref] = []
         #: Parallel list of node ids (slot order), for sample batches.
         self.node_ids: list[int] = []
         self._exec = np.zeros(64, EXEC_DTYPE)
@@ -122,8 +132,9 @@ class ClusterState:
         # compacted (order-preserving) as finished apps accumulate.
         self._app = np.zeros(64, APP_DTYPE)
         self.n_apps = 0
-        #: Parallel list: ``app_objs[slot]`` views queue slot ``slot``.
-        self.app_objs: list = []
+        #: Parallel list: ``app_objs[slot]()`` views queue slot ``slot``
+        #: (a weak reference; the simulator's ``apps`` owns the apps).
+        self.app_objs: list[weakref.ref] = []
         self._n_apps_dead = 0
         # Pending (not yet submitted) jobs: a submit-time column plus the
         # parallel Job list, drained head-first as simulated time reaches
@@ -161,7 +172,7 @@ class ClusterState:
         # hosts nothing, so its zero reservation sums are already fresh.
         self._node[slot] = (node.ram_gb, node.swap_gb, node.cores, True, 1.0,
                             0.0, 0.0, 0)
-        self.node_objs.append(node)
+        self.node_objs.append(weakref.ref(node))
         self.node_ids.append(int(node.node_id))
         self.n_nodes = slot + 1
         node._state = self
@@ -259,7 +270,7 @@ class ClusterState:
         """
         node_objs = self.node_objs
         for slot in list(self._dirty_nodes):
-            node_objs[slot]._refresh()
+            node_objs[slot]()._refresh()
 
     # ------------------------------------------------------------------
     # Pending-job queue (array-backed arrival queue)
@@ -313,7 +324,7 @@ class ClusterState:
         row["ready_time"] = ready_time
         row["unassigned_gb"] = app.unassigned_gb
         row["finished"] = False
-        self.app_objs.append(app)
+        self.app_objs.append(weakref.ref(app))
         self.n_apps = slot + 1
         app._qstate = self
         app._qslot = slot
@@ -368,8 +379,8 @@ class ClusterState:
         n_live = int(keep.size)
         self._app[:n_live] = self._app[keep]
         live_objs = [self.app_objs[slot] for slot in keep.tolist()]
-        for new_slot, app in enumerate(live_objs):
-            app._qslot = new_slot
+        for new_slot, app_ref in enumerate(live_objs):
+            app_ref()._qslot = new_slot
         self.app_objs = live_objs
         self.n_apps = n_live
         self._n_apps_dead = 0

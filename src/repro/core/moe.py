@@ -69,6 +69,8 @@ class MixtureOfExperts:
         self.dataset = dataset
         self.pipeline = pipeline
         self.selector = selector
+        # Leave-one-out predictors by target name (see for_target).
+        self._reduced: dict[str, MixtureOfExperts] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -104,11 +106,21 @@ class MixtureOfExperts:
         return MixtureOfExperts.from_dataset(self.dataset.excluding(programs))
 
     def for_target(self, target: BenchmarkSpec) -> "MixtureOfExperts":
-        """The leave-one-out predictor appropriate for evaluating ``target``."""
-        reduced = leave_one_out_training_set(self.dataset, target)
-        if len(reduced) == len(self.dataset):
-            return self
-        return MixtureOfExperts.from_dataset(reduced)
+        """The leave-one-out predictor appropriate for evaluating ``target``.
+
+        The fits are deterministic, so each reduced predictor is built
+        once and memoised by target name.  A target the training set
+        does not cover gets ``self``, which is not memoised: the mixture
+        never holds a reference to itself.
+        """
+        predictor = self._reduced.get(target.name)
+        if predictor is None:
+            reduced = leave_one_out_training_set(self.dataset, target)
+            if len(reduced) == len(self.dataset):
+                return self
+            predictor = MixtureOfExperts.from_dataset(reduced)
+            self._reduced[target.name] = predictor
+        return predictor
 
     # ------------------------------------------------------------------
     # Prediction

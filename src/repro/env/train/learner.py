@@ -619,6 +619,10 @@ class ReinforceLearner:
                 entropy, grad_norm = self._update(trajectories, lr, beta)
                 update_s = time.perf_counter() - tick
                 totals = [t.total_reward for t in trajectories]
+                # Release the batch's decision matrices now: otherwise they
+                # stay alive until the next collect() returns, and two
+                # batches are held at once.
+                del trajectories
                 eval_stp = None
                 eval_s = 0.0
                 if (iteration % config.eval_every == 0

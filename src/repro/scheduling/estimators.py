@@ -139,7 +139,9 @@ class MoEEstimator(MemoryEstimator):
         Honour the evaluation protocol of Section 5.2: when the incoming
         application is itself a training program (or has an equivalent
         implementation in the training set), use a predictor retrained
-        without it.
+        without it.  The retrained predictors are memoised on ``moe``
+        (:meth:`~repro.core.moe.MixtureOfExperts.for_target`), so every
+        estimator sharing it fits each one once.
     """
 
     def __init__(self, moe: MixtureOfExperts | None = None,
@@ -149,18 +151,11 @@ class MoEEstimator(MemoryEstimator):
         self.profiler = profiler or Profiler(seed=17)
         self.leave_one_out = leave_one_out
         self._predictions: dict[str, object] = {}
-        self._loo_cache: dict[str, MixtureOfExperts] = {}
-
-    def _predictor_for(self, spec: BenchmarkSpec) -> MixtureOfExperts:
-        if not self.leave_one_out:
-            return self.moe
-        if spec.name not in self._loo_cache:
-            self._loo_cache[spec.name] = self.moe.for_target(spec)
-        return self._loo_cache[spec.name]
 
     def prepare(self, app, spec):
         report = self.profiler.profile(app.name, spec, app.input_gb)
-        prediction = self._predictor_for(spec).predict_from_report(report)
+        predictor = self.moe.for_target(spec) if self.leave_one_out else self.moe
+        prediction = predictor.predict_from_report(report)
         self._predictions[app.name] = prediction
         return ProfilingCost(feature_extraction_min=report.feature_extraction_min,
                              calibration_min=report.calibration_min)

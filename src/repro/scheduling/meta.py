@@ -45,6 +45,7 @@ had witnessed the change itself.
 from __future__ import annotations
 
 import math
+import weakref
 from collections import deque
 from dataclasses import dataclass
 
@@ -108,6 +109,10 @@ class ContextMonitor:
     event bus and maintains a deque of churn-event timestamps plus the
     set of currently straggling nodes.  Window pruning is amortised O(1):
     each event enters and leaves the deque exactly once.
+
+    The bus holds the monitor's bound ``_on_event``, so the monitor
+    refers back to the bus only weakly: a finished run's bus and monitor
+    form no cycle and are freed by reference counting.
     """
 
     def __init__(self, window_min: float = 60.0) -> None:
@@ -116,16 +121,17 @@ class ContextMonitor:
         self.window_min = window_min
         self._churn_times: deque[float] = deque()
         self._stragglers: set[int] = set()
-        self._bus: EventBus | None = None
+        self._bus: weakref.ref[EventBus] | None = None
 
     # -- bus wiring ----------------------------------------------------
     def attach(self, bus: EventBus) -> None:
         """Subscribe to ``bus`` (idempotent; re-attach is a no-op)."""
-        if self._bus is bus:
+        attached = self._bus() if self._bus is not None else None
+        if attached is bus:
             return
-        if self._bus is not None:
-            self._bus.unsubscribe(self._on_event)
-        self._bus = bus
+        if attached is not None:
+            attached.unsubscribe(self._on_event)
+        self._bus = weakref.ref(bus)
         bus.subscribe(self._on_event, kinds=_MONITOR_KINDS)
 
     def _on_event(self, event) -> None:
@@ -173,17 +179,22 @@ class ContextMonitor:
         grid-aligned epochs, so the snapshot — hence any decision taken
         from it — is engine-independent.
         """
-        up = ctx.cluster.up_nodes()
-        counts = [len(node.active_executors()) for node in up]
+        # The up nodes' rows of the version-cached feature columns:
+        # ``n_active`` is each node's active-executor count and
+        # ``free_gb`` its ``free_reserved_memory_gb``, bit for bit.
+        features = ctx.node_features()
+        up = features.up
+        counts = features.n_active[up].tolist()
         skew = 0.0
         if counts:
             skew = float(max(counts)) - float(np.mean(counts))
         # Added left to right: ``sum()`` compensates float rounding from
         # Python 3.12, and this signal decides switches.
         capacity = free = 0.0
-        for node in up:
-            capacity += node.ram_gb
-            free += node.free_reserved_memory_gb
+        for ram_gb, free_gb in zip(features.ram_gb[up].tolist(),
+                                   features.free_gb[up].tolist()):
+            capacity += ram_gb
+            free += free_gb
         pressure = 1.0 - free / capacity if capacity > 0 else 1.0
         return ContextSignals(
             time_min=ctx.now,

@@ -81,16 +81,23 @@ _APP_OPS = ("adopt", "take", "give_back", "finish",
             "maybe_compact", "compact")
 
 
+def queued_apps(state: ClusterState) -> list[SparkApplication]:
+    """The applications behind the queue's weak back-map, slot order."""
+    return [app_ref() for app_ref in state.app_objs]
+
+
 def check_app_queue(state: ClusterState, ready: dict, order: dict,
                     now: float) -> None:
     """The arrays and the object model must describe the same queue."""
+    # The back-map holds weak references; the caller owns the apps.
+    queued = queued_apps(state)
     # Submission order is the slot order — the invariant the FCFS
     # waiting-queue walk (and every memo keyed by scan position) relies
     # on; compaction must preserve it.
-    orders = [order[app.name] for app in state.app_objs]
+    orders = [order[app.name] for app in queued]
     assert orders == sorted(orders)
     live_rows = state._app[:state.n_apps]
-    for slot, app in enumerate(state.app_objs):
+    for slot, app in enumerate(queued):
         assert app._qstate is state and app._qslot == slot
         row = live_rows[slot]
         # Dual-writes: data hand-out/hand-back and finish all land.
@@ -100,7 +107,7 @@ def check_app_queue(state: ClusterState, ready: dict, order: dict,
         assert float(row["ready_time"]) == ready[app.name]
     # The vectorized waiting scan answers exactly what the historical
     # per-object loop answers, in the same order.
-    expected = [slot for slot, app in enumerate(state.app_objs)
+    expected = [slot for slot, app in enumerate(queued)
                 if app.state is not ApplicationState.FINISHED
                 and ready[app.name] <= now + 1e-9
                 and app.unassigned_gb > 1e-6]
@@ -160,7 +167,7 @@ def test_app_queue_round_trips_under_random_churn(data):
     survivors = [app for app in apps
                  if app.state is not ApplicationState.FINISHED]
     assert len(state.app_objs) == len(survivors)
-    assert all(a is b for a, b in zip(state.app_objs, survivors))
+    assert all(a is b for a, b in zip(queued_apps(state), survivors))
     check_app_queue(state, ready, order, now)
 
 
@@ -182,6 +189,6 @@ def test_app_compaction_threshold_fires_under_churn():
     assert state._n_apps_dead * 2 <= state.n_apps + 1
     state.compact_apps()
     assert state._n_apps_dead == 0
-    assert all(a is b for a, b in zip(state.app_objs, survivors))
-    assert [app._qslot for app in state.app_objs] == list(
+    assert all(a is b for a, b in zip(queued_apps(state), survivors))
+    assert [app._qslot for app in queued_apps(state)] == list(
         range(len(survivors)))

@@ -26,7 +26,10 @@ def check_round_trip(cluster: Cluster) -> None:
     nodes = state.nodes_view()
     assert state.n_nodes == len(cluster.nodes)
     assert len(state.node_objs) == len(state.node_ids) == state.n_nodes
-    for slot, node in enumerate(state.node_objs):
+    # The back-map holds weak references; the cluster owns the nodes.
+    for slot, node_ref in enumerate(state.node_objs):
+        node = node_ref()
+        assert node is cluster.nodes[slot]
         row = nodes[slot]
         assert node._state is state and node._slot == slot
         assert state.node_ids[slot] == node.node_id
@@ -54,7 +57,7 @@ def check_round_trip(cluster: Cluster) -> None:
         live_ids.append(executor.executor_id)
         assert executor._state is state and executor._slot == slot
         assert bool(row["alive"])
-        host = state.node_objs[int(row["node_slot"])]
+        host = state.node_objs[int(row["node_slot"])]()
         assert host is executor._node
         assert executor in host.executors
         # Scalar round-trips: the properties read these same cells.

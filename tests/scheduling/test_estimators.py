@@ -75,9 +75,15 @@ class TestMoEEstimator:
         estimator = MoEEstimator(moe=moe)
         app, spec = make_app("HB.Sort", 50.0)
         estimator.prepare(app, spec)
-        assert "HB.Sort" in estimator._loo_cache
-        loo = estimator._loo_cache["HB.Sort"]
+        # The reduced predictor is memoised on the shared mixture, so a
+        # second estimator (the next grid cell) reuses the same fit.
+        loo = moe.for_target(spec)
+        assert moe.for_target(spec) is loo
+        assert "HB.Sort" in moe._reduced and moe._reduced["HB.Sort"] is loo
         assert "HB.Sort" not in loo.dataset.names()
+        again = MoEEstimator(moe=moe)
+        again.prepare(make_app("HB.Sort", 50.0)[0], spec)
+        assert moe._reduced["HB.Sort"] is loo
 
     def test_generic_budget_inversion_respects_prediction(self, moe):
         estimator = MoEEstimator(moe=moe)

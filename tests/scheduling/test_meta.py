@@ -24,6 +24,7 @@ from repro.cluster.events import (
     StragglerRecovered,
 )
 from repro.cluster.faults import FaultEvent, FaultSpec
+from repro.cluster.simulator import NodeFeatures
 from repro.metrics.throughput import evaluate_schedule
 from repro.scheduling import (
     IsolatedScheduler,
@@ -89,11 +90,13 @@ class TestContextMonitor:
     def test_memory_pressure_adds_left_to_right(self, python312_sum):
         # Ten 0.1 GB nodes: a compensated sum() of their capacity is 1.0,
         # the left-to-right total 0.9999999999999999.
-        nodes = Cluster.homogeneous(10, ram_gb=0.1).nodes
+        cluster = Cluster.homogeneous(10, ram_gb=0.1)
+        nodes = cluster.nodes
         for node in nodes:
             node.add_executor(Executor("a", node.node_id, memory_budget_gb=0.03,
                                        assigned_gb=1.0, cpu_demand=0.1))
-        ctx = SimpleNamespace(cluster=SimpleNamespace(up_nodes=lambda: nodes),
+        sim = SimpleNamespace(cluster=cluster)
+        ctx = SimpleNamespace(node_features=lambda: NodeFeatures(sim),
                               now=0.0, waiting_apps=lambda: [])
         capacity = free = 0.0
         for node in nodes:

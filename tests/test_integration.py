@@ -90,6 +90,6 @@ class TestEndToEndPipeline:
         spec = benchmark_by_name("BDB.Kmeans")
         app = SparkApplication(name="BDB.Kmeans", spec=spec, input_gb=100.0)
         estimator.prepare(app, spec)
-        loo_names = estimator._loo_cache["BDB.Kmeans"].dataset.names()
+        loo_names = moe.for_target(spec).dataset.names()
         assert "BDB.Kmeans" not in loo_names
         assert "HB.Kmeans" not in loo_names
