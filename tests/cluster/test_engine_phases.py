@@ -15,6 +15,7 @@ import time
 import pytest
 
 from repro.cluster import Cluster, EventKind
+from repro.cluster.faults import FaultEvent, FaultSpec
 from repro.scheduling import PairwiseScheduler
 from repro.workloads import Job
 
@@ -43,10 +44,17 @@ class TestPhasePartition:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_phase_keys_include_oom(self, engine, simulators):
         cluster = Cluster.homogeneous(2)
-        simulator = simulators[engine](cluster, PairwiseScheduler())
+        storm = FaultSpec(timeline=(FaultEvent(
+            time_min=1.0, action="node_down", node_id=0, duration_min=5.0),))
+        simulator = simulators[engine](cluster, PairwiseScheduler(),
+                                       faults=storm)
         simulator.run([Job("HB.Sort", 10.0)])
         assert set(simulator.engine.phase_seconds) == {
             "arrivals", "faults", "oom", "schedule", "advance"}
+        # The end-of-run hook unbound the engine and the fault controller;
+        # the phase counters stay readable.
+        assert simulator.engine.sim is None
+        assert simulator.fault_controller.sim is None
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_oom_phase_accrues_on_oom_heavy_run(self, engine, simulators):

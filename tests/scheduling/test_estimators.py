@@ -71,18 +71,25 @@ class TestMoEEstimator:
         assert predicted == pytest.approx(spec.true_footprint_gb(25.0), rel=0.15)
         assert 0 < estimator.cpu_load(app.name) <= 1.0
 
-    def test_leave_one_out_models_are_cached(self, moe):
+    def test_leave_one_out_models_are_cached(self, moe, monkeypatch):
+        moe._reduced.pop("HB.Sort", None)
         estimator = MoEEstimator(moe=moe)
         app, spec = make_app("HB.Sort", 50.0)
         estimator.prepare(app, spec)
-        # The reduced predictor is memoised on the shared mixture, so a
-        # second estimator (the next grid cell) reuses the same fit.
-        loo = moe.for_target(spec)
-        assert moe.for_target(spec) is loo
-        assert "HB.Sort" in moe._reduced and moe._reduced["HB.Sort"] is loo
+        # prepare fits the reduced predictor and memoises it on the shared
+        # mixture, and the prediction comes from that reduced predictor.
+        loo = moe._reduced.get("HB.Sort")
+        assert loo is not None
         assert "HB.Sort" not in loo.dataset.names()
+        selection = estimator._predictions["HB.Sort"].selection
+        assert selection.nearest_program in loo.dataset.names()
+        # A second estimator (the next grid cell) reuses that fit.
+        fit, fits = MixtureOfExperts.from_dataset, []
+        monkeypatch.setattr(MixtureOfExperts, "from_dataset", classmethod(
+            lambda cls, *args, **kwargs: fits.append(args) or fit(*args, **kwargs)))
         again = MoEEstimator(moe=moe)
         again.prepare(make_app("HB.Sort", 50.0)[0], spec)
+        assert fits == []
         assert moe._reduced["HB.Sort"] is loo
 
     def test_generic_budget_inversion_respects_prediction(self, moe):

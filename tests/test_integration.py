@@ -86,10 +86,13 @@ class TestEndToEndPipeline:
         from repro.spark.application import SparkApplication
         from repro.workloads.suites import benchmark_by_name
 
+        moe._reduced.pop("BDB.Kmeans", None)
         estimator = MoEEstimator(moe=moe)
         spec = benchmark_by_name("BDB.Kmeans")
         app = SparkApplication(name="BDB.Kmeans", spec=spec, input_gb=100.0)
         estimator.prepare(app, spec)
-        loo_names = moe.for_target(spec).dataset.names()
+        loo_names = moe._reduced["BDB.Kmeans"].dataset.names()
         assert "BDB.Kmeans" not in loo_names
         assert "HB.Kmeans" not in loo_names
+        selection = estimator._predictions["BDB.Kmeans"].selection
+        assert selection.nearest_program in loo_names

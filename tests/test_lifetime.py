@@ -16,15 +16,11 @@ import weakref
 import pytest
 
 from repro.api import ExperimentPlan, Session
-from repro.cluster import Cluster, ClusterSimulator
-from repro.cluster.faults import FaultEvent, FaultSpec
 from repro.env import make_policy, rollout
 from repro.env.train import LearnedPolicy, ReinforceLearner, TrainConfig
 from repro.env.train.scheme import load_policy_model
 from repro.env.train.workers import EpisodeCollector, EpisodeSpec, collect_episode
-from repro.scheduling import PairwiseScheduler
 from repro.scheduling.registry import scheme_names
-from repro.workloads.mixes import Job
 
 SCENARIOS = ("L5", "churn20", "regime_shift")
 
@@ -32,7 +28,12 @@ SCENARIOS = ("L5", "churn20", "regime_shift")
 def cyclic_garbage(run) -> int:
     """Objects the cyclic collector finds after a warmed-up ``run()``."""
     run()
-    gc.collect()
+    # Start from an empty heap.  Garbage left by earlier code can need
+    # more than one pass: a cycle whose members are also referenced from
+    # a numpy object array (which the collector does not traverse) is
+    # found only after the pass that frees the array's owner.
+    while gc.collect():
+        pass
     gc.disable()
     try:
         run()
@@ -100,20 +101,3 @@ def test_training_holds_one_batch_at_a_time(monkeypatch):
         gc.enable()
     assert batches == 3
     assert len(previous) > 2, "the batch recorded no decisions"
-
-
-def test_phase_seconds_stay_readable_after_run():
-    storm = FaultSpec(timeline=(
-        FaultEvent(time_min=1.0, action="node_down", node_id=0,
-                   duration_min=5.0),), horizon_min=100.0)
-    simulator = ClusterSimulator(Cluster.homogeneous(3), PairwiseScheduler(),
-                                 faults=storm)
-    result = simulator.run([Job("HB.Sort", 40.0), Job("HB.Join", 40.0)])
-    assert result.all_finished()
-    phases = simulator.engine.phase_seconds
-    assert set(phases) == {"arrivals", "faults", "oom", "schedule", "advance"}
-    assert sum(phases.values()) > 0.0
-    # The end-of-run hook unbound the engine and the fault controller.
-    assert simulator.engine.sim is None
-    assert simulator.fault_controller.sim is None
-    assert result.fault_summary.node_failures == 1
