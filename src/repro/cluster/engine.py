@@ -283,12 +283,16 @@ class _EngineBase:
 
         Candidates are visited in submission order, so simultaneous
         completions are recorded in the order the applications arrived.
+        An application is complete when its unassigned plus in-flight GB
+        (at most one column tally per pass, the sum behind
+        ``SparkApplication.remaining_gb``) is at most 1e-6.
         """
         sim = self.sim
         candidates = self._completion_candidates
         if not candidates:
             return
         index_of = sim.submission_index
+        in_flight = None
         for name in sorted(candidates, key=index_of.__getitem__):
             app = sim.apps[name]
             if app.state is ApplicationState.FINISHED:
@@ -298,14 +302,21 @@ class _EngineBase:
                 # Blocked on the isolated re-run queue; stays a
                 # candidate until the retry data drains.
                 continue
-            if app.is_complete():
+            candidates.discard(name)
+            # In-flight GB is never negative, so an app with more than
+            # 1e-6 GB unassigned is not complete: no tally needed.
+            if app.unassigned_gb > 1e-6:
+                continue
+            if in_flight is None:
+                in_flight = sim.cluster.state.app_in_flight(
+                    len(sim.submission_order)).tolist()
+            if app.unassigned_gb + in_flight[index_of[name]] <= 1e-6:
                 # Account for the fixed startup cost once, at completion;
                 # it is small relative to execution time.
                 app.mark_finished(now + sim.specs[name].startup_min)
                 sim.events.record(app.finish_time, EventKind.APP_FINISHED,
                                   app=name)
                 self._n_finished += 1
-            candidates.discard(name)
 
     def _all_finished(self) -> bool:
         return self._n_finished == len(self.sim.submission_order)

@@ -365,29 +365,21 @@ class SchedulingContext:
         """In-flight GB and active-executor counts of ``apps``.
 
         Computed from the executor columns, keyed by submission index,
-        and returned aligned with ``apps``.  In-flight data sums
-        ``max(assigned - processed, 0)`` over the alive slots (an executor
-        leaves the cluster as soon as it stops RUNNING, the filter
-        ``SparkApplication.remaining_gb`` applies); the count takes the
-        active slots, the filter of ``active_executors``.
-        ``np.bincount`` adds each bin's weights in input order, and slot
-        order is spawn order, so every sum is bit for bit the Python
-        ``sum`` over the application's executor list.
+        and returned aligned with ``apps``: in-flight data is
+        :meth:`~repro.cluster.state.ClusterState.app_in_flight` (bit for
+        bit the Python sum behind ``SparkApplication.remaining_gb``); the
+        count takes the active slots, the filter of ``active_executors``.
 
         Not cached: the engines advance ``processed_gb`` in place without
         moving the state version, so a tally is valid only until time
         advances.
         """
         sim = self._sim
-        execs = sim.cluster.state.execs_view()
-        app_of = execs["app_index"]
+        state = sim.cluster.state
         n = len(sim.submission_order)
-        alive = execs["alive"] & (app_of >= 0)
-        in_flight = np.bincount(
-            app_of[alive],
-            weights=np.maximum(execs["assigned_gb"][alive]
-                               - execs["processed_gb"][alive], 0.0),
-            minlength=n)
+        in_flight = state.app_in_flight(n)
+        execs = state.execs_view()
+        app_of = execs["app_index"]
         active = np.bincount(app_of[execs["active"] & (app_of >= 0)],
                              minlength=n)
         rows = [sim.submission_index[app.name] for app in apps]
@@ -609,11 +601,14 @@ class ClusterSimulator:
 
         A reused simulator must not keep feeding a previous run's
         statistics on a subsequent run.  The engine and the fault
-        controller drop their simulator reference too, so no cycle ties
-        the finished run together: its objects are freed as soon as the
+        controller drop their simulator reference too, and executors
+        still placed when the run ended (a horizon cut, an abandoned
+        episode) are evicted from the cluster state, so no cycle ties the
+        finished run together: its objects are freed as soon as the
         caller lets go of the simulator.  ``engine.phase_seconds`` stays
-        readable.
+        readable, and every executor keeps its progress.
         """
+        self.cluster.state.evict_all()
         if self._streaming is not None:
             self.events.unsubscribe(self._streaming._on_sample)
         if self.fault_controller is not None:

@@ -158,6 +158,38 @@ class ClusterState:
         """Slots of active executors, ascending (= spawn order)."""
         return np.flatnonzero(self._exec["active"][:self.n_execs])
 
+    def app_in_flight(self, n_apps: int) -> np.ndarray:
+        """In-flight GB per application index (``0..n_apps-1``).
+
+        Sums ``max(assigned - processed, 0)`` over each application's
+        alive executors (an executor leaves the cluster as soon as it
+        stops RUNNING, the filter ``SparkApplication.remaining_gb``
+        applies).  ``np.bincount`` adds each bin's weights in input
+        order, and slot order is spawn order, so every sum is bit for bit
+        the Python left-to-right sum over the application's executors.
+        """
+        execs = self.execs_view()
+        app_of = execs["app_index"]
+        alive = execs["alive"] & (app_of >= 0)
+        return np.bincount(
+            app_of[alive],
+            weights=np.maximum(execs["assigned_gb"][alive]
+                               - execs["processed_gb"][alive], 0.0),
+            minlength=n_apps)
+
+    def evict_all(self) -> None:
+        """Evict every still-adopted executor (a run is over).
+
+        Each executor keeps its scalars and its place in its node's and
+        application's lists, but no longer refers back to the state or
+        the node, so a run that ended with work still placed leaves no
+        reference cycle.
+        """
+        for executor in self.exec_objs:
+            if executor is not None:
+                executor._node = None
+                self.evict_executor(executor)
+
     # ------------------------------------------------------------------
     # Adoption / eviction
     # ------------------------------------------------------------------

@@ -271,13 +271,16 @@ class SchedulingEnv:
             self._now = self._final_time
             self._epochs = None
             self._done = True
-            self._sim.detach_run_subscribers()
             self._result = self._sim.finish(self._final_time)
             truncated = not self._result.all_finished()
         reward = self._rewards.cumulative - reward_before
         self.total_reward += reward
         self.steps += 1
         observation = self._observe()
+        if self._done:
+            # After the terminal observation, which still shows the
+            # executors a horizon cut left placed: detaching evicts them.
+            self._sim.detach_run_subscribers()
         info = {
             "time_min": self._now,
             "placements": placed,

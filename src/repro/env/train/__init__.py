@@ -28,6 +28,7 @@ from repro.env.train.features import (
     FEATURE_NAMES,
     N_FEATURES,
     CandidateRowCache,
+    DecisionLog,
     EpochSnapshot,
     FeatureConfig,
     candidate_features,
@@ -64,7 +65,7 @@ from repro.env.train.workers import (
 __all__ = [
     # featurizer
     "FeatureConfig", "FEATURE_NAMES", "N_FEATURES", "EpochSnapshot",
-    "candidate_features", "CandidateRowCache",
+    "candidate_features", "CandidateRowCache", "DecisionLog",
     "snapshot_from_observation", "snapshot_from_state",
     # model
     "PolicyNetwork", "CHECKPOINT_FORMAT",

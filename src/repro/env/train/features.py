@@ -39,7 +39,7 @@ import numpy as np
 
 __all__ = ["FeatureConfig", "FEATURE_NAMES", "N_FEATURES", "JobCand",
            "EpochSnapshot", "snapshot_from_observation", "snapshot_from_state",
-           "candidate_features", "CandidateRowCache"]
+           "candidate_features", "CandidateRowCache", "DecisionLog"]
 
 #: Column names of the candidate feature matrix, in order.  The first
 #: block describes the job and cluster (shared by every candidate of one
@@ -245,15 +245,21 @@ class CandidateRowCache:
     ``1 + slot * n_fracs + f`` is the (node ``slot``, fraction ``f``)
     candidate, with a matching slot table and a cached per-candidate
     admission mask (everything but the job's CPU check).
-    A sub-decision is then one mask, one ``take`` per table, and one
-    write of the decision-wide block.  The columns a booking cannot move
-    (``node_ram``, ``node_speed``, ``frac``) are written once; one
-    routine over a basic slice of nodes writes the rest, for the initial
-    fill and for a booked node alike.
+    A sub-decision is then one mask, one ``take`` per table, one write
+    of the decision-wide block and one division of column 11, which the
+    table holds as the node's raw free memory (the rank's numerator).
+    The columns a booking cannot move (``node_ram``, ``node_speed``,
+    ``frac``) are written once; one routine over a basic slice of nodes
+    writes the rest, for the initial fill and for a booked node alike.
+
+    Built with a :class:`DecisionLog`, the cache also feeds the log's row
+    store: it appends its table once and a booked node's refreshed rows
+    on :meth:`invalidate`, and keeps the store id of every current table
+    row, so :meth:`record` logs a sub-decision as one ``take`` of ids.
     """
 
-    def __init__(self, snapshot: EpochSnapshot,
-                 config: FeatureConfig) -> None:
+    def __init__(self, snapshot: EpochSnapshot, config: FeatureConfig,
+                 log: DecisionLog | None = None) -> None:
         self.snapshot = snapshot
         self.config = config
         self.fractions = np.asarray(config.fractions, dtype=np.float64)
@@ -282,6 +288,15 @@ class CandidateRowCache:
         self._admit = np.ones(1 + n_nodes * n_fracs, dtype=bool)
         self._admit_grid = self._admit[1:].reshape(n_nodes, n_fracs)
         self._refresh(0, n_nodes)
+        self._log = log
+        if log is not None:
+            #: Store id of each table row's current contents in ``log``.
+            self._store_id = log.add_rows(self._table) + np.arange(
+                self._table.shape[0])
+            self._frac_ids = np.arange(n_fracs)
+        #: ``(index, head, denominator)`` of the last multi-row matrix,
+        #: what :meth:`record` logs.
+        self._last: tuple = ()
 
     def _refresh(self, lo: int, hi: int) -> None:
         """Recompute what a booking can move for nodes ``lo:hi``."""
@@ -296,6 +311,7 @@ class CandidateRowCache:
         rows = self._rows[lo:hi]
         rows[:, :, 9] = free / 100.0
         rows[:, :, 10] = free / safe_ram
+        rows[:, :, 11] = free
         rows[:, :, 12] = snap.cpu_free[lo:hi, None]
         rows[:, :, 13] = execs / 4.0
         rows[:, :, 14] = execs == 0
@@ -306,6 +322,12 @@ class CandidateRowCache:
     def invalidate(self, slot: int) -> None:
         """Mark one node's rows stale after a booking touched it."""
         self._refresh(slot, slot + 1)
+        if self._log is not None:
+            n_fracs = self._frac_ids.shape[0]
+            lo = 1 + slot * n_fracs
+            rows = self._table[lo:lo + n_fracs]
+            np.add(self._frac_ids, self._log.add_rows(rows),
+                   out=self._store_id[lo:lo + n_fracs])
 
     def candidate_features(self, job: JobCand,
                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -322,19 +344,160 @@ class CandidateRowCache:
         cand_slots = self._slot_of.take(index)
         cand_fractions = self._fraction_of.take(index)
         desired = max(job.desired, 1)
-        features[:, 1:8] = (
-            job.input_gb / 100.0,
-            job.unassigned_gb / max(job.input_gb, 1e-9),
-            job.cpu_load,
-            job.active / desired,
-            (job.desired - job.active) / desired,
-            len(snap.jobs) / 10.0,
-            float(snap.free_gb.sum()) / max(snap.total_ram, 1e-9))
+        head = (job.input_gb / 100.0,
+                job.unassigned_gb / max(job.input_gb, 1e-9),
+                job.cpu_load,
+                job.active / desired,
+                (job.desired - job.active) / desired,
+                len(snap.jobs) / 10.0,
+                float(snap.free_gb.sum()) / max(snap.total_ram, 1e-9))
+        features[:, 1:8] = head
         if index.shape[0] > 1:
-            max_free = float(snap.free_gb.max())
-            features[1:, 11] = (snap.free_gb.take(cand_slots[1:])
-                                / max(max_free, 1e-9))
+            max_free = max(float(snap.free_gb.max()), 1e-9)
+            features[1:, 11] /= max_free
+            self._last = (index, head, max_free)
         return features, cand_slots, cand_fractions
+
+    def record(self, choice: int) -> None:
+        """Log the last multi-row matrix and its chosen row (needs a log)."""
+        index, head, max_free = self._last
+        self._log.record(self._store_id.take(index), head, max_free, choice)
+
+
+def _reserve(buffer: np.ndarray, size: int) -> np.ndarray:
+    """``buffer`` if it has ``size`` rows, else a copy with room to spare.
+
+    The capacity at least doubles, so appends cost amortized O(1).
+    """
+    if size <= buffer.shape[0]:
+        return buffer
+    grown = np.empty((max(size, 2 * buffer.shape[0], 64), *buffer.shape[1:]),
+                     dtype=buffer.dtype)
+    grown[:buffer.shape[0]] = buffer
+    return grown
+
+
+class DecisionLog:
+    """One episode's recorded sub-decisions, kept as row ids.
+
+    The learner needs each sampled candidate matrix again at update time,
+    but most of a matrix's rows repeat from the decision before: a row
+    changes only when a booking refreshes its node.  The log therefore
+    keeps one append-only **row store** per episode (fed by
+    :class:`CandidateRowCache`) and records each decision as
+
+    * the store ids of its ``K`` rows, skip row first;
+    * its decision-wide block (columns 1–7) and the ``node_free_rank``
+      denominator ``max(max free, 1e-9)``;
+    * the chosen row.
+
+    A store row is a candidate row with a zero decision-wide block and
+    the node's raw free memory in column 11 (``0`` on the skip row).
+    :meth:`fill` rebuilds matrices by gathering their rows, writing the
+    block and dividing column 11 by the denominator: the same elementwise
+    division :meth:`CandidateRowCache.candidate_features` makes on the
+    same raw value, so each rebuilt matrix equals the one the policy
+    scored bit for bit.  A whole matrix recorded by :meth:`record_matrix`
+    (the ``row_cache=False`` oracle path) keeps its final column 11 and
+    divides it by 1, which is exact.
+
+    Iterating yields ``(features, choice)`` pairs, built on demand;
+    ``len()`` is the number of decisions.
+    """
+
+    def __init__(self) -> None:
+        #: The row store (capacity rows; the first ``_n_rows`` are used).
+        self.rows = np.empty((0, N_FEATURES), dtype=np.float64)
+        #: Store ids of every decision's rows, decision after decision.
+        self.ids = np.empty(0, dtype=np.intp)
+        #: Per decision: the decision-wide block, then the denominator.
+        self._heads = np.empty((0, 8), dtype=np.float64)
+        #: Decision ``i``'s ids are ``ids[_bounds[i]:_bounds[i + 1]]``.
+        self._bounds = np.zeros(1, dtype=np.intp)
+        self._choices = np.empty(0, dtype=np.intp)
+        self._n_rows = 0
+        self._n = 0
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __iter__(self):
+        bounds = self._bounds
+        for i in range(self._n):
+            features = np.empty((int(bounds[i + 1] - bounds[i]), N_FEATURES))
+            self.fill(features, i, i + 1)
+            yield features, int(self._choices[i])
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the log's buffers."""
+        return (self.rows.nbytes + self.ids.nbytes + self._heads.nbytes
+                + self._bounds.nbytes + self._choices.nbytes)
+
+    def add_rows(self, rows: np.ndarray) -> int:
+        """Append store rows; returns the id of the first."""
+        first = self._n_rows
+        self._n_rows = first + rows.shape[0]
+        self.rows = _reserve(self.rows, self._n_rows)
+        self.rows[first:self._n_rows] = rows
+        return first
+
+    def record(self, ids: np.ndarray, head, max_free: float,
+               choice: int) -> None:
+        """Append one decision over the stored rows ``ids``."""
+        n = self._n
+        lo = int(self._bounds[n])
+        hi = lo + ids.shape[0]
+        self.ids = _reserve(self.ids, hi)
+        self.ids[lo:hi] = ids
+        if n == self._choices.shape[0]:
+            self._heads = _reserve(self._heads, n + 1)
+            self._choices = _reserve(self._choices, n + 1)
+            self._bounds = _reserve(self._bounds, self._choices.shape[0] + 1)
+        self._heads[n] = (*head, max_free)
+        self._bounds[n + 1] = hi
+        self._choices[n] = choice
+        self._n = n + 1
+
+    def record_matrix(self, features: np.ndarray, choice: int) -> None:
+        """Append one decision whose whole matrix enters the store."""
+        first = self.add_rows(features)
+        self.record(first + np.arange(features.shape[0]), features[0, 1:8],
+                    1.0, choice)
+
+    def trim(self) -> None:
+        """Drop spare capacity (the log is complete)."""
+        n_ids = int(self._bounds[self._n])
+        self.rows = self.rows[:self._n_rows].copy()
+        self.ids = self.ids[:n_ids].copy()
+        self._heads = self._heads[:self._n].copy()
+        self._bounds = self._bounds[:self._n + 1].copy()
+        self._choices = self._choices[:self._n].copy()
+
+    def lengths(self) -> np.ndarray:
+        """Candidate count ``K`` of each decision."""
+        return np.diff(self._bounds[:self._n + 1])
+
+    def choices(self) -> np.ndarray:
+        """Chosen row of each decision."""
+        return self._choices[:self._n]
+
+    def fill(self, out: np.ndarray, lo: int, hi: int) -> int:
+        """Write decisions ``lo:hi``'s matrices, stacked, into ``out``.
+
+        Returns the number of rows written (the leading rows of ``out``).
+        """
+        bounds = self._bounds[lo:hi + 1]
+        n_rows = int(bounds[-1] - bounds[0])
+        out = out[:n_rows]
+        # Every id names a stored row, so "clip" never clips; unlike the
+        # default "raise", it gathers straight into ``out``.
+        np.take(self.rows, self.ids[bounds[0]:bounds[-1]], axis=0, out=out,
+                mode="clip")
+        lengths = np.diff(bounds)
+        out[:, 1:8] = np.repeat(self._heads[lo:hi, :7], lengths, axis=0)
+        out[:, 11] /= np.repeat(self._heads[lo:hi, 7], lengths)
+        return n_rows
 
 
 def candidate_features(snapshot: EpochSnapshot, job: JobCand,

@@ -25,6 +25,7 @@ telemetry (:class:`IterationStats` per iteration).
 
 from __future__ import annotations
 
+import bisect
 import json
 import time
 from dataclasses import dataclass, field
@@ -468,31 +469,34 @@ class ReinforceLearner:
         so they never change; what is free to change is where results
         land.  The stacked input, the activations and the deltas live in
         buffers sized once for the largest chunk and written through
-        ``out=``; the tanh derivative ``1 - a*a`` overwrites its spent
-        activation; the output layer's ``delta @ W.T`` has inner
-        dimension 1, so it is the elementwise product ``delta * W[:, 0]``
-        — one rounding either way.
+        ``out=``; each episode's :class:`~repro.env.train.features.DecisionLog`
+        fills its run of a chunk's stacked input straight from its row
+        store, with the same values the policy scored; the tanh
+        derivative ``1 - a*a`` overwrites its spent activation; the output
+        layer's ``delta @ W.T`` has inner dimension 1, so it is the
+        elementwise product ``delta * W[:, 0]`` — one rounding either way.
         """
-        decisions: list[np.ndarray] = []
-        choices: list[int] = []
-        advantages: list[float] = []
-        for advantage, trajectory in zip(episode_advantages, trajectories):
-            for features, choice in trajectory.decisions:
-                decisions.append(features)
-                choices.append(choice)
-                advantages.append(float(advantage))
-        if not decisions:
+        logs = [trajectory.decisions for trajectory in trajectories]
+        counts = [len(log) for log in logs]
+        n_decisions = sum(counts)
+        if not n_decisions:
             return 0.0, 0
+        # Decisions of episode ``e`` are ``firsts[e]:firsts[e + 1]``.
+        firsts = np.cumsum([0, *counts]).tolist()
+        lengths = np.concatenate([log.lengths() for log in logs])
+        choices = np.concatenate([log.choices() for log in logs])
+        advantages = np.repeat(episode_advantages, counts)
 
         chunks = []
         start = 0
-        while start < len(decisions):
+        sizes = lengths.tolist()
+        while start < n_decisions:
             stop = start
             rows = 0
-            while stop < len(decisions) and (
+            while stop < n_decisions and (
                     rows == 0
-                    or rows + decisions[stop].shape[0] <= self.GEMM_CHUNK_ROWS):
-                rows += decisions[stop].shape[0]
+                    or rows + sizes[stop] <= self.GEMM_CHUNK_ROWS):
+                rows += sizes[stop]
                 stop += 1
             chunks.append((start, stop, rows))
             start = stop
@@ -505,14 +509,21 @@ class ReinforceLearner:
         logit_buf = np.empty(max_rows)
         entropy_sum = 0.0
         for start, stop, rows in chunks:
-            chunk = decisions[start:stop]
-            lengths = np.array([f.shape[0] for f in chunk], dtype=np.int64)
-            offsets = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-            adv = np.asarray(advantages[start:stop], dtype=np.float64)
-            choice_pos = offsets + np.asarray(choices[start:stop],
-                                              dtype=np.int64)
+            chunk_lengths = lengths[start:stop]
+            offsets = np.concatenate(([0], np.cumsum(chunk_lengths)[:-1]))
+            adv = advantages[start:stop]
+            choice_pos = offsets + choices[start:stop]
 
-            acts = [np.concatenate(chunk, axis=0, out=stack[:rows])]
+            filled = 0
+            lo = start
+            while lo < stop:
+                episode = bisect.bisect_right(firsts, lo) - 1
+                hi = min(stop, firsts[episode + 1])
+                filled += logs[episode].fill(stack[filled:rows],
+                                             lo - firsts[episode],
+                                             hi - firsts[episode])
+                lo = hi
+            acts = [stack[:rows]]
             for w, b, buf in zip(weights[:-1], biases[:-1], hidden):
                 z = np.matmul(acts[-1], w, out=buf[:rows])
                 z += b
@@ -523,7 +534,7 @@ class ReinforceLearner:
             logits += biases[-1][0]
 
             # Segment-wise stable log-softmax over the flat logit vector.
-            rep = np.repeat(np.arange(len(chunk)), lengths)
+            rep = np.repeat(np.arange(stop - start), chunk_lengths)
             shifted = logits
             shifted -= np.maximum.reduceat(logits, offsets)[rep]
             probs = np.exp(shifted)
@@ -559,7 +570,6 @@ class ReinforceLearner:
                     np.subtract(1.0, a, out=a)
                     next_delta *= a
                     delta = next_delta
-        n_decisions = len(decisions)
         return entropy_sum / n_decisions, n_decisions
 
     # ------------------------------------------------------------------

@@ -45,6 +45,7 @@ from repro.scheduling.base import Scheduler
 
 from .features import (
     CandidateRowCache,
+    DecisionLog,
     EpochSnapshot,
     candidate_features,
     snapshot_from_observation,
@@ -106,7 +107,8 @@ def clear_model_cache() -> None:
 
 def decide_epoch(snapshot: EpochSnapshot, model: PolicyNetwork,
                  allocation_policy, *, rng: np.random.Generator | None = None,
-                 trace: list | None = None, row_cache: bool = True,
+                 trace: list | DecisionLog | None = None,
+                 row_cache: bool = True,
                  ) -> list[tuple[str, int, float, float]]:
     """Run the policy over one epoch snapshot; return its placements.
 
@@ -129,9 +131,11 @@ def decide_epoch(snapshot: EpochSnapshot, model: PolicyNetwork,
 
     Returns ``(app_name, node_id, memory_gb, data_gb)`` tuples.  When
     ``trace`` is a list, every sub-decision appends
-    ``(features, choice)`` for the learner's backward pass; forced
-    decisions (only ``skip`` admissible) carry no gradient and are not
-    recorded.
+    ``(features, choice)`` for the learner's backward pass; a
+    :class:`~repro.env.train.features.DecisionLog` records the same
+    decisions as row ids into its row store instead, without keeping the
+    matrices.  Forced decisions (only ``skip`` admissible) carry no
+    gradient and are not recorded.
 
     **Progress guarantee**: if the policy places nothing at all in an
     epoch while some ready job has zero executors and an admissible
@@ -149,10 +153,12 @@ def decide_epoch(snapshot: EpochSnapshot, model: PolicyNetwork,
     only the node a booking touched; ``row_cache=False`` rebuilds every
     matrix through :func:`~repro.env.train.features.candidate_features`
     — the row-oracle path the parity tests pin the cache against.  Both
-    produce bit-identical matrices, choices and rng draw sequences.
+    produce bit-identical matrices, choices and rng draw sequences; the
+    oracle path logs each whole matrix into a ``DecisionLog``.
     """
     placements: list[tuple[str, int, float, float]] = []
     config = model.feature_config
+    log = trace if isinstance(trace, DecisionLog) else None
     # Built on first use: most epochs have no job left to decide for.
     cache: CandidateRowCache | None = None
     while True:
@@ -164,7 +170,7 @@ def decide_epoch(snapshot: EpochSnapshot, model: PolicyNetwork,
                                                                 config)
                 else:
                     if cache is None:
-                        cache = CandidateRowCache(snapshot, config)
+                        cache = CandidateRowCache(snapshot, config, log)
                     features, slots, fracs = cache.candidate_features(job)
                 if features.shape[0] == 1:
                     break  # no admissible placement; skip is forced
@@ -172,7 +178,12 @@ def decide_epoch(snapshot: EpochSnapshot, model: PolicyNetwork,
                     choice = model.argmax_action(features)
                 else:
                     choice = model.sample_action(features, rng)
-                if trace is not None:
+                if log is not None:
+                    if cache is not None:
+                        cache.record(choice)
+                    else:
+                        log.record_matrix(features, choice)
+                elif trace is not None:
                     trace.append((features, choice))
                 if choice == 0:
                     break
@@ -261,8 +272,9 @@ class LearnedPolicy(Policy):
 
     Deterministic (greedy argmax) unless a ``sample_rng`` is installed —
     training workers install one per episode and set ``record_trace`` to
-    collect the learner's ``(features, choice)`` pairs in
-    :attr:`trace`.  ``make_scheduler`` mounts a
+    record the learner's decisions in :attr:`trace`, a
+    :class:`~repro.env.train.features.DecisionLog` that iterates as
+    ``(features, choice)`` pairs.  ``make_scheduler`` mounts a
     :class:`LearnedScheduler` as the simulator's mechanism hook, so
     profiling delays (none) and live executor-cap re-derivation under
     churn match the native path exactly; ``act`` reads the hook's
@@ -284,15 +296,15 @@ class LearnedPolicy(Policy):
         #: :func:`decide_epoch`); ``False`` is the row-oracle mode the
         #: rollout benchmark measures the cache against.
         self.row_cache = row_cache
-        #: Per-episode (features, choice) pairs when ``record_trace``;
-        #: grouped per step by :attr:`step_marks` (decision count after
-        #: each ``act``).
-        self.trace: list[tuple[np.ndarray, int]] = []
+        #: Per-episode decision log when ``record_trace`` (iterates as
+        #: (features, choice) pairs); grouped per step by
+        #: :attr:`step_marks` (decision count after each ``act``).
+        self.trace = DecisionLog()
         self.step_marks: list[int] = []
         self._scheduler: LearnedScheduler | None = None
 
     def reset(self, seed: int) -> None:
-        self.trace = []
+        self.trace = DecisionLog()
         self.step_marks = []
         self._scheduler = None
 

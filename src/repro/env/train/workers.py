@@ -2,8 +2,8 @@
 
 A training iteration needs a *batch* of sampled episodes; this module
 turns (model, seed list) into :class:`Trajectory` records — per-step
-rewards plus the ``(features, choice)`` decision trace the backward pass
-consumes — either inline or fanned out over a ``ProcessPoolExecutor``
+rewards plus the decision log the backward pass consumes — either
+inline or fanned out over a ``ProcessPoolExecutor``
 (the same worker-pool shape :class:`repro.api.Session` uses for grid
 cells: pool reused across iterations, scenario shipped once through the
 initializer).
@@ -36,6 +36,7 @@ import numpy as np
 
 from repro.env.rollout import rollout
 
+from .features import DecisionLog
 from .model import PolicyNetwork
 from .scheme import LearnedPolicy
 
@@ -61,15 +62,16 @@ class EpisodeSpec:
 class Trajectory:
     """One sampled episode, ready for the REINFORCE update.
 
-    ``decisions`` holds every recorded sub-decision's candidate feature
-    matrix and chosen row; ``step_marks[t]`` is the decision count after
-    environment step ``t``, which is how per-step rewards map onto the
-    decisions that caused them (reward-to-go).
+    ``decisions`` logs every recorded sub-decision's candidate rows and
+    chosen row, and iterates as ``(features, choice)`` pairs;
+    ``step_marks[t]`` is the decision count after environment step ``t``,
+    which is how per-step rewards map onto the decisions that caused
+    them (reward-to-go).
     """
 
     episode_seed: int
     rewards: np.ndarray
-    decisions: list[tuple[np.ndarray, int]]
+    decisions: DecisionLog
     step_marks: list[int]
     stp: float
     total_reward: float
@@ -91,6 +93,7 @@ def collect_episode(scenario, model: PolicyNetwork, spec: EpisodeSpec, *,
     result = rollout(scenario, policy, seed=spec.episode_seed, reward=reward,
                      max_steps=max_steps, record_rewards=True,
                      obs_mode=obs_mode)
+    policy.trace.trim()
     return Trajectory(
         episode_seed=spec.episode_seed,
         rewards=np.asarray(result.rewards, dtype=np.float64),

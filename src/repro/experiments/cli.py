@@ -473,8 +473,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="use reduced simulation grids")
     parser.add_argument("--workers", type=int, default=1, metavar="N",
                         help="worker processes for the scenario-grid "
-                             "experiments fig6/fig9/fig10 and --scenario "
-                             "mode; other experiments run in-process "
+                             "experiments fig6/fig9/fig10, --scenario "
+                             "mode and env-train's episode collection; "
+                             "other experiments run in-process "
                              "(default: 1)")
     args = parser.parse_args(argv)
     if args.workers < 1:

@@ -443,6 +443,47 @@ class TestGemmUpdateBits:
             assert np.array_equal(db, want_db), f"db{layer} differs"
 
 
+class TestDecisionLog:
+    """The log rebuilds every matrix the policy scored, bit for bit."""
+
+    @pytest.mark.parametrize("row_cache", [True, False],
+                             ids=["row_cache", "row_oracle"])
+    def test_logged_matrices_are_the_scored_matrices(self, monkeypatch,
+                                                     row_cache):
+        scored = []
+        sample_action = PolicyNetwork.sample_action
+
+        def spy(model, features, rng):
+            choice = sample_action(model, features, rng)
+            scored.append((features.copy(), choice))
+            return choice
+
+        monkeypatch.setattr(PolicyNetwork, "sample_action", spy)
+        policy = LearnedPolicy(record_trace=True, row_cache=row_cache,
+                               sample_rng=np.random.default_rng((11, 0, 0)))
+        rollout("churn20", policy, seed=11, obs_mode="features")
+        log = policy.trace
+        assert len(log) == len(scored) > 100
+        # The pooled path ships logs pickled.
+        for logged in (log, pickle.loads(pickle.dumps(log))):
+            assert len(logged) == len(scored)
+            for i, ((want, want_choice), (have, choice)) in enumerate(
+                    zip(scored, logged)):
+                assert choice == want_choice, f"decision {i}: choice differs"
+                assert have.shape == want.shape
+                assert have.tobytes() == want.tobytes(), (
+                    f"decision {i}: matrix differs")
+
+    def test_logs_hold_a_quarter_of_the_matrix_bytes(self,
+                                                     churn20_iteration):
+        _, trajectories = churn20_iteration
+        matrices = sum(features.nbytes for t in trajectories
+                       for features, _ in t.decisions)
+        assert sum(t.decisions.nbytes for t in trajectories) <= (
+            0.25 * matrices)
+        assert len(pickle.dumps(trajectories)) <= 0.25 * matrices
+
+
 class TestSampleAction:
     def test_draw_past_the_last_cumulative_probability_picks_the_last(self):
         # Rounding can leave the cumulative probabilities ending just
